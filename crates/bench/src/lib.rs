@@ -7,7 +7,7 @@
 
 use keybridge_core::{
     IntentDescription, Interpreter, InterpreterConfig, KeywordQuery, ScoredInterpretation,
-    TemplateCatalog, TemplatePrior,
+    ServeRequests, TemplateCatalog, TemplatePrior,
 };
 use keybridge_datagen::{
     ImdbConfig, ImdbDataset, LyricsConfig, LyricsDataset, MixedOp, Workload, WorkloadConfig,

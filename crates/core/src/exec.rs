@@ -32,6 +32,19 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
+/// The primary key of a row: what [`ResultKey`]s are minted from. A
+/// [`Database`] answers from its own rows; the sharded coordinator, which
+/// holds no global database, answers from its global pk maps.
+pub trait PkLookup {
+    fn pk(&self, table: TableId, row: RowId) -> i64;
+}
+
+impl PkLookup for Database {
+    fn pk(&self, table: TableId, row: RowId) -> i64 {
+        self.pk_value(table, row)
+    }
+}
+
 /// A tuple identifier: table plus primary-key value. The unit of result
 /// overlap in DivQ's metrics (one `ResultKey` = one information nugget).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -314,7 +327,7 @@ impl ExecCache {
 
 /// Intersect two sorted row lists in place (`prev ∩= other`), two-pointer
 /// merge — the sorted-merge path replacing the old per-binding `HashSet`.
-pub(crate) fn intersect_sorted(prev: &mut Vec<RowId>, other: &[RowId]) {
+fn intersect_sorted(prev: &mut Vec<RowId>, other: &[RowId]) {
     let mut out_i = 0;
     let mut j = 0;
     for i in 0..prev.len() {
@@ -383,9 +396,9 @@ pub fn execute_interpretation_cached(
 /// The result-memoization spine of [`execute_interpretation_cached`] with the
 /// actual execution abstracted out: check the local then shared caches under
 /// the `satisfies` rule, otherwise run `compute` and publish its (complete)
-/// result to both tiers. The sharded coordinator routes its scatter-gather
-/// executions through this same path so single-shard and sharded serving
-/// share one caching semantics.
+/// result to both tiers. The sharded coordinator's execution backend routes
+/// its scatter-gather executions through this same path, so single-shard and
+/// sharded serving share one caching semantics.
 pub(crate) fn with_result_cache(
     cache: &mut ExecCache,
     interp: &QueryInterpretation,
@@ -434,8 +447,8 @@ pub(crate) fn with_result_cache(
 /// The answer/all keys of a JTT slice under one interpretation's bound-node
 /// projection — the single definition both fresh executions and prefix
 /// truncations use, so the two can never drift apart.
-fn collect_result_keys(
-    db: &Database,
+pub(crate) fn collect_result_keys<P: PkLookup + ?Sized>(
+    pks: &P,
     nodes: &[TableId],
     bound: &[bool],
     jtts: &[JoinedRow],
@@ -447,7 +460,7 @@ fn collect_result_keys(
             let table = nodes[node];
             let key = ResultKey {
                 table,
-                pk: db.pk_value(table, *row),
+                pk: pks.pk(table, *row),
             };
             all_keys.insert(key);
             if bound[node] {
@@ -470,8 +483,8 @@ fn collect_result_keys(
 /// etc. describe the complete execution, not a hypothetical re-run) — cache
 /// hits cost no executor work, so fabricating fresh-run counters would
 /// misreport what actually happened.
-pub fn truncate_result(
-    db: &Database,
+pub fn truncate_result<P: PkLookup + ?Sized>(
+    pks: &P,
     catalog: &TemplateCatalog,
     interp: &QueryInterpretation,
     res: &Arc<ExecutedResult>,
@@ -483,7 +496,7 @@ pub fn truncate_result(
     let tpl = catalog.get(interp.template);
     let bound = bound_nodes(interp, tpl.tree.nodes.len());
     let jtts: Vec<JoinedRow> = res.jtts[..cap].to_vec();
-    let (keys, all_keys) = collect_result_keys(db, &tpl.tree.nodes, &bound, &jtts);
+    let (keys, all_keys) = collect_result_keys(pks, &tpl.tree.nodes, &bound, &jtts);
     Arc::new(ExecutedResult {
         jtts,
         keys,
@@ -494,8 +507,8 @@ pub fn truncate_result(
 
 /// The answer keys of `res`'s first `cap` JTTs — [`truncate_result`]'s
 /// keys-only fast path for stages that never look at the tuple trees.
-pub(crate) fn prefix_keys(
-    db: &Database,
+pub(crate) fn prefix_keys<P: PkLookup + ?Sized>(
+    pks: &P,
     catalog: &TemplateCatalog,
     interp: &QueryInterpretation,
     res: &ExecutedResult,
@@ -506,7 +519,38 @@ pub(crate) fn prefix_keys(
     }
     let tpl = catalog.get(interp.template);
     let bound = bound_nodes(interp, tpl.tree.nodes.len());
-    collect_result_keys(db, &tpl.tree.nodes, &bound, &res.jtts[..cap]).0
+    collect_result_keys(pks, &tpl.tree.nodes, &bound, &res.jtts[..cap]).0
+}
+
+/// The candidate row sets of `interp` over a join tree with `nodes`: each
+/// value predicate's rows come from `rows`, and two predicates on one node
+/// are sorted-merge intersected (both lists come out of the index sorted).
+/// The one harvest the single-store executor and every shard job run.
+pub(crate) fn harvest_candidates(
+    nodes: &[TableId],
+    interp: &QueryInterpretation,
+    mut rows: impl FnMut(&[String], AttrRef) -> Vec<RowId>,
+) -> Candidates {
+    let mut per_node: Vec<Option<Vec<RowId>>> = vec![None; nodes.len()];
+    for b in &interp.bindings {
+        if let BindingTarget::Value { node, attr } = b.target {
+            let fetched = rows(
+                &b.keywords,
+                AttrRef {
+                    table: nodes[node],
+                    attr,
+                },
+            );
+            per_node[node] = Some(match per_node[node].take() {
+                Some(mut prev) => {
+                    intersect_sorted(&mut prev, &fetched);
+                    prev
+                }
+                None => fetched,
+            });
+        }
+    }
+    Candidates { per_node }
 }
 
 fn execute_inner(
@@ -518,38 +562,18 @@ fn execute_inner(
     cache: &mut Option<&mut ExecCache>,
 ) -> RelResult<ExecutedResult> {
     let tpl = catalog.get(interp.template);
-    let n = tpl.tree.nodes.len();
-    let mut per_node: Vec<Option<Vec<RowId>>> = vec![None; n];
     let mut scratch = Vec::new();
-
-    for b in &interp.bindings {
-        if let BindingTarget::Value { node, attr } = b.target {
-            let aref = AttrRef {
-                table: tpl.tree.nodes[node],
-                attr,
-            };
-            let rows = match cache.as_deref_mut() {
-                Some(c) => (*c.rows(index, &b.keywords, aref)).clone(),
-                None => {
-                    let mut out = Vec::new();
-                    index.rows_with_all_into(&b.keywords, aref, &mut out, &mut scratch);
-                    out
-                }
-            };
-            per_node[node] = Some(match per_node[node].take() {
-                // Two predicates on the same node: sorted-merge intersection
-                // (both lists come out of the index sorted).
-                Some(mut prev) => {
-                    intersect_sorted(&mut prev, &rows);
-                    prev
-                }
-                None => rows,
-            });
+    let candidates = harvest_candidates(&tpl.tree.nodes, interp, |keywords, aref| {
+        match cache.as_deref_mut() {
+            Some(c) => (*c.rows(index, keywords, aref)).clone(),
+            None => {
+                let mut out = Vec::new();
+                index.rows_with_all_into(keywords, aref, &mut out, &mut scratch);
+                out
+            }
         }
-    }
-
-    let bound = bound_nodes(interp, n);
-    let candidates = Candidates { per_node };
+    });
+    let bound = bound_nodes(interp, tpl.tree.nodes.len());
     // Cached executions share the cache's arena across the whole candidate
     // list; uncached one-shot executions pay for a fresh one.
     let outcome = match cache.as_deref_mut() {

@@ -1,7 +1,7 @@
 //! Interpretation generation (§3.5.2): compose keyword interpretations with
 //! query templates into complete, minimal query interpretations.
 
-use crate::exec::{bound_nodes, ExecCache, ExecutedResult, ResultKey};
+use crate::exec::{bound_nodes, ExecCache, ExecutedResult, PkLookup, ResultKey};
 use crate::interp::{BindingTarget, KeywordBinding, QueryInterpretation};
 use crate::keyword::KeywordQuery;
 use crate::prob::{IncrementalScorer, ProbabilityConfig, ProbabilityModel, TemplatePrior};
@@ -778,40 +778,6 @@ impl<'a> Interpreter<'a> {
         crate::pipeline::QueryPipeline::new(self, base, gen_cache, exec_cache).answers(query, k)
     }
 
-    /// Turn up to `remaining` JTTs of one executed interpretation into
-    /// [`RankedAnswer`]s.
-    pub(crate) fn collect_answers(
-        &self,
-        s: &ScoredInterpretation,
-        res: &ExecutedResult,
-        remaining: usize,
-        answers: &mut Vec<RankedAnswer>,
-    ) {
-        let tpl = self.catalog.get(s.interpretation.template);
-        let bound = bound_nodes(&s.interpretation, tpl.tree.nodes.len());
-        for jtt in res.jtts.iter().take(remaining) {
-            let mut keys: Vec<ResultKey> = jtt
-                .iter()
-                .enumerate()
-                .filter(|(node, _)| bound[*node])
-                .map(|(node, row)| {
-                    let table = tpl.tree.nodes[node];
-                    ResultKey {
-                        table,
-                        pk: self.db.pk_value(table, *row),
-                    }
-                })
-                .collect();
-            keys.sort();
-            keys.dedup();
-            answers.push(RankedAnswer {
-                interpretation: s.interpretation.clone(),
-                log_score: s.log_score,
-                jtt: jtt.clone(),
-                keys,
-            });
-        }
-    }
     /// Seed the generator's mask-keyed non-emptiness cache from the
     /// predicate row sets the executor materialized for `interp`. Each
     /// keyword bag maps back to a canonical occurrence mask (first unused
@@ -860,6 +826,42 @@ impl<'a> Interpreter<'a> {
             }
         }
         seeded
+    }
+}
+
+/// Turn up to `remaining` JTTs of one executed interpretation into
+/// [`RankedAnswer`]s, minting their keys through `pks`.
+pub(crate) fn collect_answers<P: PkLookup + ?Sized>(
+    pks: &P,
+    catalog: &TemplateCatalog,
+    s: &ScoredInterpretation,
+    res: &ExecutedResult,
+    remaining: usize,
+    answers: &mut Vec<RankedAnswer>,
+) {
+    let tpl = catalog.get(s.interpretation.template);
+    let bound = bound_nodes(&s.interpretation, tpl.tree.nodes.len());
+    for jtt in res.jtts.iter().take(remaining) {
+        let mut keys: Vec<ResultKey> = jtt
+            .iter()
+            .enumerate()
+            .filter(|(node, _)| bound[*node])
+            .map(|(node, row)| {
+                let table = tpl.tree.nodes[node];
+                ResultKey {
+                    table,
+                    pk: pks.pk(table, *row),
+                }
+            })
+            .collect();
+        keys.sort();
+        keys.dedup();
+        answers.push(RankedAnswer {
+            interpretation: s.interpretation.clone(),
+            log_score: s.log_score,
+            jtt: jtt.clone(),
+            keys,
+        });
     }
 }
 

@@ -38,6 +38,7 @@ mod hierarchy;
 mod interp;
 mod keyword;
 mod pipeline;
+mod pool;
 mod prob;
 mod rank;
 mod render;

@@ -18,25 +18,29 @@
 //!   candidate window of an interactive session, candidates sharing one
 //!   cache across refreshes.
 //!
-//! [`crate::Interpreter::answers_top_k`] and the [`crate::SearchService`]
-//! request modes all run on this pipeline, which is what keeps a warm,
-//! concurrent service byte-identical to the cold offline oracles: the only
-//! cross-query state is the result-invariant shared cache tier, and
-//! complete cached results are truncated back to the request's limit
-//! ([`truncate_result`]) before a stage observes them.
+//! [`crate::Interpreter::answers_top_k`], the [`crate::SearchService`]
+//! request modes and the [`crate::ShardedService`] coordinator all run on
+//! this pipeline, which is what keeps a warm, concurrent service
+//! byte-identical to the cold offline oracles: the only cross-query state
+//! is the result-invariant shared cache tier, and complete cached results
+//! are truncated back to the request's limit ([`truncate_result`]) before a
+//! stage observes them. The one thing that differs between single-store and
+//! sharded serving is the [`ExecBackend`] an interpretation executes on.
 
 use crate::exec::{
     execute_interpretation_cached, prefix_keys, truncate_result, ExecCache, ExecutedResult,
-    ResultKey,
+    PkLookup, ResultKey,
 };
 use crate::generate::{
-    AnswerStats, GenerationStats, Interpreter, NonemptyCache, RankedAnswer, ScoredInterpretation,
+    collect_answers, AnswerStats, GenerationStats, Interpreter, NonemptyCache, RankedAnswer,
+    ScoredInterpretation,
 };
 use crate::interp::BindingAtom;
 use crate::keyword::KeywordQuery;
 use crate::template::TemplateCatalog;
 use crate::QueryInterpretation;
-use keybridge_relstore::ExecOptions;
+use keybridge_index::InvertedIndex;
+use keybridge_relstore::{Database, ExecOptions, RelResult, RowId, TableId};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
@@ -144,6 +148,48 @@ impl InterpretationSource for FixedSource {
 }
 
 // ---------------------------------------------------------------------------
+// Stage 2: execution backends.
+// ---------------------------------------------------------------------------
+
+/// The pipeline's execution seam: run one interpretation through the
+/// request's [`ExecCache`], and look up the primary keys its result keys are
+/// minted from. Backends are cheap `Copy` bundles of references.
+pub trait ExecBackend: PkLookup + Copy {
+    fn execute(
+        &self,
+        interp: &QueryInterpretation,
+        opts: ExecOptions,
+        cache: &mut ExecCache,
+    ) -> RelResult<Arc<ExecutedResult>>;
+}
+
+/// Single-store execution: the cached batched executor over one database
+/// and its inverted index.
+#[derive(Clone, Copy)]
+pub struct LocalExec<'a> {
+    db: &'a Database,
+    index: &'a InvertedIndex,
+    catalog: &'a TemplateCatalog,
+}
+
+impl PkLookup for LocalExec<'_> {
+    fn pk(&self, table: TableId, row: RowId) -> i64 {
+        self.db.pk_value(table, row)
+    }
+}
+
+impl ExecBackend for LocalExec<'_> {
+    fn execute(
+        &self,
+        interp: &QueryInterpretation,
+        opts: ExecOptions,
+        cache: &mut ExecCache,
+    ) -> RelResult<Arc<ExecutedResult>> {
+        execute_interpretation_cached(self.db, self.index, self.catalog, interp, opts, cache)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Stage 3: post-processing.
 // ---------------------------------------------------------------------------
 
@@ -169,13 +215,14 @@ pub trait PostProcess {
 }
 
 /// Plain streamed top-k answers: take JTTs best-first until `k` exist.
-struct TopKAnswers<'q, 'a> {
-    interpreter: &'q Interpreter<'a>,
+struct TopKAnswers<'q, B> {
+    catalog: &'q TemplateCatalog,
+    backend: B,
     k: usize,
     answers: Vec<RankedAnswer>,
 }
 
-impl PostProcess for TopKAnswers<'_, '_> {
+impl<B: ExecBackend> PostProcess for TopKAnswers<'_, B> {
     fn demand(&self) -> usize {
         self.k - self.answers.len().min(self.k)
     }
@@ -186,26 +233,34 @@ impl PostProcess for TopKAnswers<'_, '_> {
 
     fn ingest(&mut self, _rank: usize, s: &ScoredInterpretation, res: &Arc<ExecutedResult>) {
         let remaining = self.demand();
-        self.interpreter
-            .collect_answers(s, res, remaining, &mut self.answers);
+        collect_answers(
+            &self.backend,
+            self.catalog,
+            s,
+            res,
+            remaining,
+            &mut self.answers,
+        );
     }
 }
 
 /// The diversification pool (§4.4.2): every non-empty candidate survives
 /// with its relevance, structural atoms, and result keys capped at `cap`
 /// JTTs per interpretation — the pool Alg. 4.1 then selects from.
-struct DivPoolStage<'q, 'a> {
-    interpreter: &'q Interpreter<'a>,
+struct DivPoolStage<'q, B> {
+    catalog: &'q TemplateCatalog,
+    backend: B,
     cap: usize,
     items: Vec<DivItem>,
     keys: Vec<BTreeSet<ResultKey>>,
     picks: Vec<ScoredInterpretation>,
 }
 
-impl<'q, 'a> DivPoolStage<'q, 'a> {
-    fn new(interpreter: &'q Interpreter<'a>, cap: usize) -> Self {
+impl<'q, B> DivPoolStage<'q, B> {
+    fn new(catalog: &'q TemplateCatalog, backend: B, cap: usize) -> Self {
         DivPoolStage {
-            interpreter,
+            catalog,
+            backend,
             cap,
             items: Vec::new(),
             keys: Vec::new(),
@@ -214,7 +269,7 @@ impl<'q, 'a> DivPoolStage<'q, 'a> {
     }
 }
 
-impl PostProcess for DivPoolStage<'_, '_> {
+impl<B: ExecBackend> PostProcess for DivPoolStage<'_, B> {
     fn demand(&self) -> usize {
         self.cap
     }
@@ -228,15 +283,11 @@ impl PostProcess for DivPoolStage<'_, '_> {
     fn ingest(&mut self, _rank: usize, s: &ScoredInterpretation, res: &Arc<ExecutedResult>) {
         self.items.push(DivItem {
             relevance: s.probability,
-            atoms: s
-                .interpretation
-                .atoms(self.interpreter.catalog())
-                .into_iter()
-                .collect(),
+            atoms: s.interpretation.atoms(self.catalog).into_iter().collect(),
         });
         self.keys.push(prefix_keys(
-            self.interpreter.db(),
-            self.interpreter.catalog(),
+            &self.backend,
+            self.catalog,
             &s.interpretation,
             res,
             self.cap,
@@ -248,13 +299,14 @@ impl PostProcess for DivPoolStage<'_, '_> {
 /// A construction session's window refresh: every candidate executed (at
 /// most `limit` JTTs each), non-empty ones collected with their window
 /// index, complete cache hits truncated back to `limit`.
-struct WindowStage<'q, 'a> {
-    interpreter: &'q Interpreter<'a>,
+struct WindowStage<'q, B> {
+    catalog: &'q TemplateCatalog,
+    backend: B,
     limit: usize,
     out: Vec<(usize, Arc<ExecutedResult>)>,
 }
 
-impl PostProcess for WindowStage<'_, '_> {
+impl<B: ExecBackend> PostProcess for WindowStage<'_, B> {
     fn demand(&self) -> usize {
         self.limit
     }
@@ -267,8 +319,8 @@ impl PostProcess for WindowStage<'_, '_> {
         self.out.push((
             rank,
             truncate_result(
-                self.interpreter.db(),
-                self.interpreter.catalog(),
+                &self.backend,
+                self.catalog,
                 &s.interpretation,
                 res,
                 self.limit,
@@ -286,22 +338,44 @@ impl PostProcess for WindowStage<'_, '_> {
 /// [`ExecCache::with_shared`] to fall through to a
 /// [`crate::SearchService`]'s process-wide tier; plain caches give the cold
 /// offline behavior.
-pub struct QueryPipeline<'s, 'a> {
+pub struct QueryPipeline<'s, 'a, B: ExecBackend = LocalExec<'a>> {
     interpreter: &'s Interpreter<'a>,
+    backend: B,
     base: ExecOptions,
     gen_cache: &'s mut NonemptyCache,
     exec_cache: &'s mut ExecCache,
 }
 
 impl<'s, 'a> QueryPipeline<'s, 'a> {
+    /// A pipeline executing on the interpreter's own database and index.
     pub fn new(
         interpreter: &'s Interpreter<'a>,
         base: ExecOptions,
         gen_cache: &'s mut NonemptyCache,
         exec_cache: &'s mut ExecCache,
     ) -> Self {
+        let backend = LocalExec {
+            db: interpreter.db(),
+            index: interpreter.index(),
+            catalog: interpreter.catalog(),
+        };
+        Self::with_backend(interpreter, backend, base, gen_cache, exec_cache)
+    }
+}
+
+impl<'s, 'a, B: ExecBackend> QueryPipeline<'s, 'a, B> {
+    /// A pipeline generating through `interpreter` and executing on
+    /// `backend` (the sharded coordinator's scatter-gather executor).
+    pub(crate) fn with_backend(
+        interpreter: &'s Interpreter<'a>,
+        backend: B,
+        base: ExecOptions,
+        gen_cache: &'s mut NonemptyCache,
+        exec_cache: &'s mut ExecCache,
+    ) -> Self {
         QueryPipeline {
             interpreter,
+            backend,
             base,
             gen_cache,
             exec_cache,
@@ -309,8 +383,8 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
     }
 
     /// The shared driver: pull a ranked wave from `source`, execute each
-    /// candidate through the cached batched executor with `limit` set to
-    /// the stage's remaining demand, and feed non-empty results to `post`.
+    /// candidate through the backend with `limit` set to the stage's
+    /// remaining demand, and feed non-empty results to `post`.
     /// With `grow`, waves expand geometrically until the stage is satisfied
     /// or the source is exhausted; executions that error are tombstoned so
     /// replays skip them.
@@ -345,14 +419,10 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
                     continue;
                 }
                 let hits_before = self.exec_cache.result_hits;
-                let res = match execute_interpretation_cached(
-                    self.interpreter.db(),
-                    self.interpreter.index(),
-                    self.interpreter.catalog(),
-                    &s.interpretation,
-                    opts,
-                    self.exec_cache,
-                ) {
+                let res = match self
+                    .backend
+                    .execute(&s.interpretation, opts, self.exec_cache)
+                {
                     Ok(r) => r,
                     Err(_) => {
                         stats.exec_errors += 1;
@@ -362,7 +432,9 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
                 };
                 if self.exec_cache.result_hits == hits_before {
                     // Fresh execution: count it once and feed what the
-                    // executor learned back into the generator's cache.
+                    // executor learned back into the generator's cache (a
+                    // no-op on the sharded coordinator, whose predicate
+                    // rows live on the shards).
                     stats.executed += 1;
                     stats.exec.absorb(&res.stats);
                     if !res.is_empty() {
@@ -404,7 +476,8 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
         let interpreter = self.interpreter;
         let mut source = BestFirstSource::new(interpreter, query, true);
         let mut post = TopKAnswers {
-            interpreter,
+            catalog: interpreter.catalog(),
+            backend: self.backend,
             k,
             answers: Vec::new(),
         };
@@ -421,6 +494,17 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
         (post.answers, stats)
     }
 
+    /// Top-k *interpretations* alone (generation, no execution), through
+    /// the pipeline's generation cache.
+    pub fn interpretations(
+        &mut self,
+        query: &KeywordQuery,
+        k: usize,
+    ) -> (Vec<ScoredInterpretation>, GenerationStats) {
+        self.interpreter
+            .top_k_with_cache(query, k, true, self.gen_cache)
+    }
+
     /// Execute a pre-ranked candidate list into a diversification pool:
     /// every non-empty interpretation survives with its relevance, atoms,
     /// and result keys capped at `cap` JTTs (the §4.4.1 zero-probability
@@ -429,8 +513,7 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
     /// (unshared) caches.
     pub fn executed_pool(&mut self, ranked: &[ScoredInterpretation], cap: usize) -> ExecutedPool {
         let mut stats = AnswerStats::default();
-        let interpreter = self.interpreter;
-        let mut post = DivPoolStage::new(interpreter, cap);
+        let mut post = DivPoolStage::new(self.interpreter.catalog(), self.backend, cap);
         let mut source = FixedSource::new(ranked.to_vec());
         let start = ranked.len().max(1);
         self.drive(&mut source, &mut post, start, false, None, &mut stats);
@@ -455,7 +538,7 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
     ) -> DiversifiedAnswers {
         let mut stats = AnswerStats::default();
         let interpreter = self.interpreter;
-        let mut post = DivPoolStage::new(interpreter, opts.cap);
+        let mut post = DivPoolStage::new(interpreter.catalog(), self.backend, opts.cap);
         if opts.pool > 0 && !query.is_empty() {
             let mut source = BestFirstSource::new(interpreter, query, true);
             let start = opts
@@ -502,9 +585,9 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
         limit: usize,
     ) -> Vec<(usize, Arc<ExecutedResult>)> {
         let mut stats = AnswerStats::default();
-        let interpreter = self.interpreter;
         let mut post = WindowStage {
-            interpreter,
+            catalog: self.interpreter.catalog(),
+            backend: self.backend,
             limit,
             out: Vec::new(),
         };

@@ -67,27 +67,16 @@
 //! one through [`ServeRequests::submit_request`] yields a [`Ticket`]
 //! resolving to the matching [`Reply`] arm. Both [`SearchService`] and the
 //! sharded scatter-gather router ([`crate::sharded::ShardedService`])
-//! implement [`ServeRequests`], so the open-loop harness, the smoke driver,
-//! and the differential suites drive either through the same trait. Use
-//! [`ServiceBuilder`] to configure and start either service; the legacy
-//! constructor triplet and the `submit_*`/`search_*` wrappers remain as
-//! thin conveniences over the seam:
+//! implement [`ServeRequests`], serve every request through the same
+//! [`QueryPipeline`] on the same worker pool, and stamp every reply with
+//! its completion instant — so the open-loop harness, the smoke driver, and
+//! the differential suites drive either through the one trait. The typed
+//! `submit_*` / `search*` helpers are provided methods of that trait (the
+//! `*_timed` ones expose the completion stamp). Use [`ServiceBuilder`] to
+//! configure and start either service.
 //!
-//! | legacy method                        | request seam equivalent                 |
-//! |--------------------------------------|-----------------------------------------|
-//! | `submit(query, k)`                   | `Request::Answers { query, k }`         |
-//! | `submit_interpretations(query, k)`   | `Request::Interpretations { query, k }` |
-//! | `submit_diversified(query, opts)`    | `Request::Diversified { query, opts }`  |
-//! | `submit_timed(query, k)`             | `Request::AnswersTimed { query, k }`    |
-//! | `submit_diversified_timed(q, opts)`  | `Request::DiversifiedTimed { .. }`      |
-//! | `search` / `search_with_stats` / `search_versioned` | blocking `Request::Answers`  |
-//! | `search_diversified(query, opts)`    | blocking `Request::Diversified`         |
-//! | `SearchService::start`               | `ServiceBuilder::new().workers(n).start`|
-//! | `SearchService::start_durable`       | `ServiceBuilder::…​.durable(dir).start`  |
-//! | `SearchService::open`                | `ServiceBuilder::…​.durable(dir).open`   |
-//!
-//! The `submit_panicking` / `submit_sleeping` testing seams are no longer
-//! part of the default public surface: they compile only under the
+//! The `submit_panicking` / `submit_sleeping` / `age_session` testing seams
+//! are not part of the default public surface: they compile only under the
 //! `test-seams` cargo feature (or `cfg(test)`).
 
 use crate::construct::{ConstructionOption, ConstructionSession, SessionConfig};
@@ -97,7 +86,8 @@ use crate::generate::{
     ScoredInterpretation, SharedNonemptyCache,
 };
 use crate::keyword::KeywordQuery;
-use crate::pipeline::{DiversifiedAnswer, DiversifyOptions, QueryPipeline};
+use crate::pipeline::{DiversifiedAnswer, DiversifyOptions, ExecBackend, QueryPipeline};
+use crate::pool::WorkerPool;
 use crate::template::TemplateCatalog;
 use crate::wal::{
     read_snapshot_file, scan_wal, write_snapshot_file, DurabilityError, FaultPlan, FaultPoint, Wal,
@@ -109,9 +99,8 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// An immutable, `Arc`-shared view of everything a query needs: database,
@@ -658,14 +647,15 @@ struct SessionEntry {
 /// id simply answers `None` everywhere, like a closed one.
 const MAX_OPEN_SESSIONS: usize = 1024;
 
-/// A reply stamped with its completion instant by the serving worker.
+/// A reply with the completion instant the serving worker stamped on it.
 ///
 /// Open-loop load drivers measure latency from the request's *scheduled*
 /// arrival time to `completed_at`. Stamping completion inside the worker
 /// lets the driver submit at the schedule and collect tickets afterwards,
 /// without parking one client thread per in-flight request — which would
 /// cap concurrency and reintroduce exactly the coordinated omission the
-/// open-loop harness exists to eliminate.
+/// open-loop harness exists to eliminate. Every reply carries the stamp;
+/// the `*_timed` helpers of [`ServeRequests`] surface it.
 #[derive(Debug)]
 pub struct TimedReply<T> {
     /// When the serving worker finished computing this reply.
@@ -673,10 +663,12 @@ pub struct TimedReply<T> {
     pub result: Result<T, RequestError>,
 }
 
-/// One serving request, as a value. Every mode the service can serve is a
-/// variant here; [`ServeRequests::submit_request`] is the single seam both
-/// the single-shard [`SearchService`] and the sharded router implement, and
-/// every legacy `submit_*` method is a thin typed wrapper over it.
+/// One serving request, as a value. Every mode the service can serve is
+/// exactly one variant here; [`ServeRequests::submit_request`] is the
+/// single seam both the single-shard [`SearchService`] and the sharded
+/// router implement, and every typed `submit_*` / `search*` helper of that
+/// trait builds one of these. Completion timing is not a mode: the serving
+/// worker stamps every reply (see [`TimedReply`]).
 #[derive(Debug, Clone)]
 pub enum Request {
     /// Top-k *answers* (the end-to-end hot path). Resolves to
@@ -691,15 +683,6 @@ pub enum Request {
         query: KeywordQuery,
         opts: DiversifyOptions,
     },
-    /// [`Request::Answers`] with a worker-stamped completion instant, for
-    /// open-loop latency measurement. Resolves to [`Reply::AnswersTimed`].
-    AnswersTimed { query: KeywordQuery, k: usize },
-    /// [`Request::Diversified`] with a worker-stamped completion instant.
-    /// Resolves to [`Reply::DiversifiedTimed`].
-    DiversifiedTimed {
-        query: KeywordQuery,
-        opts: DiversifyOptions,
-    },
 }
 
 /// Payload of a served interpretations request: the ranked interpretations
@@ -707,35 +690,29 @@ pub enum Request {
 pub type InterpretationsReply = (Vec<ScoredInterpretation>, GenerationStats);
 
 /// One served reply; the variant always matches the submitted [`Request`]
-/// variant. The typed `submit_*` wrappers unwrap the matching arm through
+/// variant. The typed `submit_*` helpers unwrap the matching arm through
 /// [`Ticket::expecting`], so most callers never see this enum.
 #[derive(Debug)]
 pub enum Reply {
     Answers(Result<SearchReply, RequestError>),
     Interpretations(Result<InterpretationsReply, RequestError>),
     Diversified(Result<DiversifiedReply, RequestError>),
-    AnswersTimed(TimedReply<SearchReply>),
-    DiversifiedTimed(TimedReply<DiversifiedReply>),
 }
 
 /// A pending reply. `wait` blocks until the serving worker finishes;
 /// `None` means the service shut down (or a worker died) before replying —
 /// or the reply arm did not match what the ticket was told to expect,
-/// which cannot happen through the typed `submit_*` wrappers.
+/// which cannot happen through the typed `submit_*` helpers.
 pub struct Ticket<T> {
-    rx: Receiver<Reply>,
-    extract: fn(Reply) -> Option<T>,
+    rx: Receiver<(Reply, Instant)>,
+    extract: fn(Reply, Instant) -> Option<T>,
 }
 
 impl Ticket<Reply> {
-    /// A ticket resolving to the raw [`Reply`], whatever its arm.
-    pub(crate) fn raw(rx: Receiver<Reply>) -> Self {
-        Ticket { rx, extract: Some }
-    }
-
-    /// Refine a raw ticket to one unwrapping a single reply arm — the seam
-    /// the typed `submit_*` wrappers are built from.
-    pub fn expecting<T>(self, extract: fn(Reply) -> Option<T>) -> Ticket<T> {
+    /// Refine a raw ticket to one unwrapping a single reply arm (handed the
+    /// worker's completion stamp too) — the seam the typed `submit_*`
+    /// helpers are built from.
+    pub fn expecting<T>(self, extract: fn(Reply, Instant) -> Option<T>) -> Ticket<T> {
         Ticket {
             rx: self.rx,
             extract,
@@ -745,72 +722,89 @@ impl Ticket<Reply> {
 
 impl<T> Ticket<T> {
     pub fn wait(self) -> Option<T> {
-        let reply = self.rx.recv().ok()?;
-        (self.extract)(reply)
+        let (reply, completed_at) = self.rx.recv().ok()?;
+        (self.extract)(reply, completed_at)
     }
 }
 
-fn reply_answers(reply: Reply) -> Option<Result<SearchReply, RequestError>> {
+/// Run `serve` on `pool` against the serving state pinned from `current`
+/// when a worker picks the job up, count it in `served`, and reply stamped
+/// with the worker's completion instant. Both services submit every
+/// request, and every test seam, through here.
+pub(crate) fn submit_pinned<S: Send + Sync + 'static>(
+    pool: &WorkerPool,
+    current: &Arc<Mutex<Arc<S>>>,
+    served: &Arc<AtomicUsize>,
+    serve: impl FnOnce(&S) -> Reply + Send + 'static,
+) -> Ticket<Reply> {
+    let (reply, rx) = channel();
+    let current = Arc::clone(current);
+    let served = Arc::clone(served);
+    pool.submit(Box::new(move || {
+        // Pin one serving state for the whole request (snapshot isolation:
+        // an epoch swap mid-request does not affect it).
+        let state = match current.lock() {
+            Ok(guard) => Arc::clone(&guard),
+            Err(_) => return, // writer panicked mid-swap; the ticket hangs up
+        };
+        let out = serve(&state);
+        let completed_at = Instant::now();
+        // Count before replying so a client that just got its answer never
+        // observes a stale total.
+        served.fetch_add(1, Ordering::Relaxed);
+        let _ = reply.send((out, completed_at)); // client may have given up
+    }));
+    Ticket {
+        rx,
+        extract: |reply, _| Some(reply),
+    }
+}
+
+fn reply_answers(reply: Reply, _: Instant) -> Option<Result<SearchReply, RequestError>> {
     match reply {
         Reply::Answers(r) => Some(r),
         _ => None,
     }
 }
 
-fn reply_interpretations(reply: Reply) -> Option<Result<InterpretationsReply, RequestError>> {
+fn reply_interpretations(
+    reply: Reply,
+    _: Instant,
+) -> Option<Result<InterpretationsReply, RequestError>> {
     match reply {
         Reply::Interpretations(r) => Some(r),
         _ => None,
     }
 }
 
-fn reply_diversified(reply: Reply) -> Option<Result<DiversifiedReply, RequestError>> {
+fn reply_diversified(reply: Reply, _: Instant) -> Option<Result<DiversifiedReply, RequestError>> {
     match reply {
         Reply::Diversified(r) => Some(r),
         _ => None,
     }
 }
 
-pub(crate) fn reply_answers_timed(reply: Reply) -> Option<TimedReply<SearchReply>> {
-    match reply {
-        Reply::AnswersTimed(r) => Some(r),
-        _ => None,
-    }
+pub(crate) fn timed_answers(reply: Reply, at: Instant) -> Option<TimedReply<SearchReply>> {
+    Some(TimedReply {
+        completed_at: at,
+        result: reply_answers(reply, at)?,
+    })
 }
 
-fn reply_diversified_timed(reply: Reply) -> Option<TimedReply<DiversifiedReply>> {
-    match reply {
-        Reply::DiversifiedTimed(r) => Some(r),
-        _ => None,
-    }
-}
-
-enum Job {
-    /// One [`Request`], served against the worker's pinned epoch; the reply
-    /// arm always matches the request variant.
-    Serve {
-        request: Request,
-        reply: Sender<Reply>,
-    },
-    /// Testing seam: a request that holds its worker for a fixed duration,
-    /// so load-harness tests can inject known service delays and compare
-    /// measured queueing against an analytic model. Never constructed in
-    /// production.
-    #[cfg(any(test, feature = "test-seams"))]
-    Sleep { dur: Duration, reply: Sender<Reply> },
-    /// Testing seam: a request whose serving code path panics, used by the
-    /// containment regression test. Never constructed in production.
-    #[cfg(any(test, feature = "test-seams"))]
-    Panic { reply: Sender<Reply> },
+fn timed_diversified(reply: Reply, at: Instant) -> Option<TimedReply<DiversifiedReply>> {
+    Some(TimedReply {
+        completed_at: at,
+        result: reply_diversified(reply, at)?,
+    })
 }
 
 /// A multi-user keyword-search server over a **live** store: an epoch-
-/// versioned [`SearchSnapshot`] served by N OS threads pulling jobs off a
-/// shared channel, with all cross-query derived state in per-epoch shared
-/// caches. Requests can be issued from any number of client threads;
+/// versioned [`SearchSnapshot`] served by a pool of N OS threads, with all
+/// cross-query derived state in per-epoch shared caches. Requests can be
+/// issued from any number of client threads through [`ServeRequests`];
 /// replies arrive on per-request [`Ticket`]s. Writers feed
 /// [`SearchService::ingest`]; readers never block on them beyond the
-/// one-pointer snapshot load. Dropping the service hangs up the job channel
+/// one-pointer snapshot load. Dropping the service hangs up the job queue
 /// and joins the workers.
 pub struct SearchService {
     current: Arc<Mutex<Arc<ServingState>>>,
@@ -818,8 +812,7 @@ pub struct SearchService {
     writer: Mutex<Option<WriterState>>,
     /// WAL + checkpoint state for durable services; `None` under `start`.
     durability: Option<Durability>,
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    pool: WorkerPool,
     served: Arc<AtomicUsize>,
     epoch_swaps: AtomicUsize,
     stale_evictions: AtomicUsize,
@@ -973,28 +966,12 @@ impl SearchService {
         epoch: SnapshotEpoch,
         durability: Option<Durability>,
     ) -> Self {
-        let current = Arc::new(Mutex::new(ServingState::fresh(epoch, snapshot)));
-        let served = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let current = Arc::clone(&current);
-                let served = Arc::clone(&served);
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("keybridge-worker-{i}"))
-                    .spawn(move || worker_loop(&current, &served, &rx))
-                    .expect("spawn worker thread")
-            })
-            .collect();
         SearchService {
-            current,
+            current: Arc::new(Mutex::new(ServingState::fresh(epoch, snapshot))),
             writer: Mutex::new(None),
             durability,
-            tx: Some(tx),
-            workers,
-            served,
+            pool: WorkerPool::start("keybridge-worker", workers),
+            served: Arc::new(AtomicUsize::new(0)),
             epoch_swaps: AtomicUsize::new(0),
             stale_evictions: AtomicUsize::new(0),
             rows_ingested: AtomicUsize::new(0),
@@ -1020,7 +997,7 @@ impl SearchService {
 
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.pool.threads()
     }
 
     /// Apply one insert batch to the live store and publish the result as
@@ -1161,122 +1138,18 @@ impl SearchService {
             .is_some_and(Durability::is_poisoned)
     }
 
-    /// Enqueue a top-k *answers* request (the end-to-end hot path). The
-    /// ticket resolves to `Err` when the serving worker panicked on this
-    /// request (the panic is contained; the worker keeps serving).
-    ///
-    /// Thin wrapper over [`Request::Answers`] through the
-    /// [`ServeRequests`] seam.
-    pub fn submit(
-        &self,
-        query: KeywordQuery,
-        k: usize,
-    ) -> Ticket<Result<SearchReply, RequestError>> {
-        ServeRequests::submit(self, query, k)
-    }
-
-    /// Enqueue a top-k *interpretations* request (no execution).
-    ///
-    /// Thin wrapper over [`Request::Interpretations`].
-    pub fn submit_interpretations(
-        &self,
-        query: KeywordQuery,
-        k: usize,
-    ) -> Ticket<Result<InterpretationsReply, RequestError>> {
-        ServeRequests::submit_interpretations(self, query, k)
-    }
-
     /// Testing seam for the panic-containment path: a request whose serving
     /// code panics. The reply must arrive as
     /// [`RequestError::WorkerPanicked`] and the worker must survive.
     #[cfg(any(test, feature = "test-seams"))]
     #[doc(hidden)]
     pub fn submit_panicking(&self) -> Ticket<Result<SearchReply, RequestError>> {
-        let (reply, rx) = channel();
-        self.send(Job::Panic { reply });
-        Ticket::raw(rx).expecting(reply_answers)
-    }
-
-    /// Blocking convenience: submit and wait.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request failed ([`RequestError`]) or the service shut
-    /// down before replying — a failed request must never masquerade as a
-    /// zero-result query. Callers that need to observe failure as a value
-    /// use [`Self::submit`] + [`Ticket::wait`].
-    pub fn search(&self, query: &KeywordQuery, k: usize) -> Vec<RankedAnswer> {
-        self.search_versioned(query, k).answers
-    }
-
-    /// [`Self::search`] with the per-request counters.
-    pub fn search_with_stats(
-        &self,
-        query: &KeywordQuery,
-        k: usize,
-    ) -> (Vec<RankedAnswer>, AnswerStats) {
-        let reply = self.search_versioned(query, k);
-        (reply.answers, reply.stats)
-    }
-
-    /// [`Self::search`] with the serving epoch and counters — the call the
-    /// update-equivalence suites use to match a racing reply against the
-    /// exact database version that produced it. Panics like [`Self::search`]
-    /// when the worker died.
-    pub fn search_versioned(&self, query: &KeywordQuery, k: usize) -> SearchReply {
-        self.submit(query.clone(), k)
-            .wait()
-            .expect("SearchService shut down before replying")
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Enqueue a diversified top-k request: Alg. 4.1 over the best
-    /// `opts.pool` interpretations, executed through this epoch's shared
-    /// caches (at most `opts.cap` JTTs each).
-    ///
-    /// Thin wrapper over [`Request::Diversified`].
-    pub fn submit_diversified(
-        &self,
-        query: KeywordQuery,
-        opts: DiversifyOptions,
-    ) -> Ticket<Result<DiversifiedReply, RequestError>> {
-        ServeRequests::submit_diversified(self, query, opts)
-    }
-
-    /// [`Self::submit`] with a worker-stamped completion instant in the
-    /// reply, for open-loop load drivers that measure latency from the
-    /// request's scheduled arrival time rather than from `wait`'s return.
-    ///
-    /// Thin wrapper over [`Request::AnswersTimed`].
-    pub fn submit_timed(&self, query: KeywordQuery, k: usize) -> Ticket<TimedReply<SearchReply>> {
-        ServeRequests::submit_timed(self, query, k)
-    }
-
-    /// [`Self::submit_diversified`] with a worker-stamped completion
-    /// instant in the reply.
-    ///
-    /// Thin wrapper over [`Request::DiversifiedTimed`].
-    pub fn submit_diversified_timed(
-        &self,
-        query: KeywordQuery,
-        opts: DiversifyOptions,
-    ) -> Ticket<TimedReply<DiversifiedReply>> {
-        ServeRequests::submit_diversified_timed(self, query, opts)
-    }
-
-    /// Blocking diversified top-k — warm and contended, the reply is
-    /// byte-identical to the cold offline `divq` oracle (pool build + Alg.
-    /// 4.1 over a fresh interpreter). Panics like [`Self::search`] when the
-    /// serving worker died.
-    pub fn search_diversified(
-        &self,
-        query: &KeywordQuery,
-        opts: DiversifyOptions,
-    ) -> DiversifiedReply {
-        self.submit_diversified(query.clone(), opts)
-            .wait()
-            .expect("SearchService shut down before replying")
-            .unwrap_or_else(|e| panic!("{e}"))
+        submit_pinned(&self.pool, &self.current, &self.served, |_| {
+            Reply::Answers(contain(|| -> SearchReply {
+                panic!("injected worker panic (testing seam)")
+            }))
+        })
+        .expecting(reply_answers)
     }
 
     // -----------------------------------------------------------------
@@ -1403,7 +1276,7 @@ impl SearchService {
             return 0;
         };
         let now = self.clock_ms();
-        let ttl_ms = ttl.as_millis() as u64;
+        let ttl_ms = millis_saturating(ttl);
         let mut sessions = self.sessions.lock().unwrap();
         let before = sessions.len();
         sessions
@@ -1415,13 +1288,14 @@ impl SearchService {
 
     /// Testing seam: back-date a session's idle clock by `by`, so TTL tests
     /// need not sleep. Returns whether the session exists.
+    #[cfg(any(test, feature = "test-seams"))]
     #[doc(hidden)]
     pub fn age_session(&self, id: SessionId, by: Duration) -> bool {
         let sessions = self.sessions.lock().unwrap();
         let Some(entry) = sessions.get(&id.0) else {
             return false;
         };
-        let by_ms = by.as_millis() as u64;
+        let by_ms = millis_saturating(by);
         let aged = entry
             .last_touch_ms
             .load(Ordering::Relaxed)
@@ -1495,23 +1369,12 @@ impl SearchService {
             shard_rows_skipped: 0,
         }
     }
-
-    fn send(&self, job: Job) {
-        if let Some(tx) = &self.tx {
-            // A send only fails when every worker is gone; the caller then
-            // observes the hang-up through its ticket.
-            let _ = tx.send(job);
-        }
-    }
 }
 
-impl Drop for SearchService {
-    fn drop(&mut self) {
-        self.tx.take(); // hang up: workers drain the queue, then exit
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
+/// A duration in whole milliseconds, saturating at `u64::MAX` (a bare
+/// `as u64` would wrap a huge "never expire" TTL down to a tiny one).
+fn millis_saturating(d: Duration) -> u64 {
+    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
 /// The unified serving seam — **Hot path 8**. One typed [`Request`] enum in,
@@ -1520,7 +1383,8 @@ impl Drop for SearchService {
 /// [`crate::sharded::ShardedService`] both implement it, so harnesses,
 /// differential suites, and examples drive either interchangeably; the
 /// typed `submit_*` and blocking `search*` conveniences are provided
-/// methods over `submit_request`, shared by every implementation.
+/// methods over `submit_request`, shared by every implementation. The
+/// trait is object-safe: load drivers hold a `&dyn ServeRequests`.
 pub trait ServeRequests {
     /// Enqueue one request; the ticket resolves to the matching reply arm.
     fn submit_request(&self, request: Request) -> Ticket<Reply>;
@@ -1569,22 +1433,21 @@ pub trait ServeRequests {
             .expecting(reply_diversified)
     }
 
-    /// [`Self::submit`] with a worker-stamped completion instant
-    /// ([`Request::AnswersTimed`]).
+    /// [`Self::submit`], resolving with the worker's completion stamp.
     fn submit_timed(&self, query: KeywordQuery, k: usize) -> Ticket<TimedReply<SearchReply>> {
-        self.submit_request(Request::AnswersTimed { query, k })
-            .expecting(reply_answers_timed)
+        self.submit_request(Request::Answers { query, k })
+            .expecting(timed_answers)
     }
 
-    /// [`Self::submit_diversified`] with a worker-stamped completion
-    /// instant ([`Request::DiversifiedTimed`]).
+    /// [`Self::submit_diversified`], resolving with the worker's completion
+    /// stamp.
     fn submit_diversified_timed(
         &self,
         query: KeywordQuery,
         opts: DiversifyOptions,
     ) -> Ticket<TimedReply<DiversifiedReply>> {
-        self.submit_request(Request::DiversifiedTimed { query, opts })
-            .expecting(reply_diversified_timed)
+        self.submit_request(Request::Diversified { query, opts })
+            .expecting(timed_diversified)
     }
 
     /// Blocking convenience: submit and wait.
@@ -1642,9 +1505,18 @@ pub trait ServeRequests {
 
 impl ServeRequests for SearchService {
     fn submit_request(&self, request: Request) -> Ticket<Reply> {
-        let (reply, rx) = channel();
-        self.send(Job::Serve { request, reply });
-        Ticket::raw(rx)
+        submit_pinned(&self.pool, &self.current, &self.served, move |state| {
+            let interpreter = state.snapshot.interpreter();
+            let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
+            let mut exec_cache = ExecCache::with_shared(Arc::clone(&state.exec));
+            let mut pipeline = QueryPipeline::new(
+                &interpreter,
+                ExecOptions::default(),
+                &mut gen_cache,
+                &mut exec_cache,
+            );
+            serve_request(&mut pipeline, request, state.epoch, Vec::new())
+        })
     }
 
     fn ingest_batch(&self, batch: &RowBatch) -> Result<IngestReceipt, ServiceError> {
@@ -1661,9 +1533,16 @@ impl ServeRequests for SearchService {
 
     #[cfg(any(test, feature = "test-seams"))]
     fn submit_sleeping(&self, dur: Duration) -> Ticket<TimedReply<SearchReply>> {
-        let (reply, rx) = channel();
-        self.send(Job::Sleep { dur, reply });
-        Ticket::raw(rx).expecting(reply_answers_timed)
+        submit_pinned(&self.pool, &self.current, &self.served, move |state| {
+            std::thread::sleep(dur);
+            Reply::Answers(Ok(SearchReply {
+                epoch: state.epoch,
+                shard_epochs: Vec::new(),
+                answers: Vec::new(),
+                stats: AnswerStats::default(),
+            }))
+        })
+        .expecting(timed_answers)
     }
 
     /// A real registry-backed burst: open, materialize, close — exactly the
@@ -1677,10 +1556,10 @@ impl ServeRequests for SearchService {
 }
 
 /// One entry point for every way to start a service — **the** constructor
-/// the examples and harnesses use. Consolidates the legacy
+/// the examples and harnesses use. Consolidates the
 /// [`SearchService::start`] / [`SearchService::start_durable`] /
-/// [`SearchService::open`] triplet plus the sharded router behind a single
-/// configured builder:
+/// [`SearchService::open`] constructors plus the sharded router behind a
+/// single configured builder:
 ///
 /// ```ignore
 /// let svc = ServiceBuilder::new().workers(4).start(snapshot)?;          // in-memory
@@ -1905,160 +1784,56 @@ impl ServeRequests for KeywordService {
     }
 }
 
-fn worker_loop(
-    current: &Mutex<Arc<ServingState>>,
-    served: &AtomicUsize,
-    rx: &Mutex<Receiver<Job>>,
-) {
-    loop {
-        // Hold the receiver lock only for the pop, never while serving.
-        let job = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return, // a sibling panicked mid-pop; shut down
-        };
-        let Ok(job) = job else { return }; // channel hung up: drained + done
-                                           // Pin this request to one serving state: snapshot + the cache
-                                           // generation that belongs to it. An epoch swap mid-request does not
-                                           // affect us (snapshot isolation), and we can never mix epochs.
-        let state = match current.lock() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(_) => return, // writer panicked mid-swap; shut down
-        };
-        match job {
-            Job::Serve { request, reply } => {
-                let out = serve_request(&state, request);
-                // Count before replying so a client that just got its answer
-                // never observes a stale total.
-                served.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(out); // client may have given up: fine
-            }
-            #[cfg(any(test, feature = "test-seams"))]
-            Job::Sleep { dur, reply } => {
-                std::thread::sleep(dur);
-                served.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(Reply::AnswersTimed(TimedReply {
-                    completed_at: Instant::now(),
-                    result: Ok(SearchReply {
-                        epoch: state.epoch,
-                        shard_epochs: Vec::new(),
-                        answers: Vec::new(),
-                        stats: AnswerStats::default(),
-                    }),
-                }));
-            }
-            #[cfg(any(test, feature = "test-seams"))]
-            Job::Panic { reply } => {
-                let out = catch_unwind(|| -> SearchReply {
-                    panic!("injected worker panic (testing seam)");
-                });
-                served.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(Reply::Answers(out.map_err(panic_to_error)));
-            }
-        }
-    }
-}
-
-/// Serve one [`Request`] against a pinned serving state, always producing
-/// the matching [`Reply`] arm. Serving code runs under `catch_unwind`: a
-/// panicking query must come back to its client as a typed
-/// [`RequestError`], not as a hung-up channel — and the worker must survive
-/// to take the next job. `AssertUnwindSafe` is sound here because the
-/// shared caches only ever admit *complete* entries (a panic mid-query
-/// cannot have published partial derived state), and everything else the
-/// closure touches dies with the request.
-fn serve_request(state: &ServingState, request: Request) -> Reply {
-    let interpreter = state.snapshot.interpreter();
+/// Serve one [`Request`] through `pipeline`, replying with `epoch` /
+/// `shard_epochs` and always producing the matching [`Reply`] arm. The
+/// single request dispatch of both services: the single-shard service hands
+/// in a local pipeline, the sharded coordinator a scatter-gather one.
+pub(crate) fn serve_request<B: ExecBackend>(
+    pipeline: &mut QueryPipeline<'_, '_, B>,
+    request: Request,
+    epoch: SnapshotEpoch,
+    shard_epochs: Vec<SnapshotEpoch>,
+) -> Reply {
     match request {
-        Request::Answers { query, k } => Reply::Answers(
-            catch_unwind(AssertUnwindSafe(|| {
-                answers_on_state(state, &interpreter, &query, k)
-            }))
-            .map_err(panic_to_error),
-        ),
-        Request::Interpretations { query, k } => Reply::Interpretations(
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
-                interpreter.top_k_with_cache(&query, k, true, &mut gen_cache)
-            }))
-            .map_err(panic_to_error),
-        ),
-        Request::Diversified { query, opts } => Reply::Diversified(
-            catch_unwind(AssertUnwindSafe(|| {
-                diversified_on_state(state, &interpreter, &query, opts)
-            }))
-            .map_err(panic_to_error),
-        ),
-        Request::AnswersTimed { query, k } => {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                answers_on_state(state, &interpreter, &query, k)
-            }));
-            Reply::AnswersTimed(TimedReply {
-                completed_at: Instant::now(),
-                result: out.map_err(panic_to_error),
-            })
+        Request::Answers { query, k } => Reply::Answers(contain(|| {
+            let (answers, stats) = pipeline.answers(&query, k);
+            SearchReply {
+                epoch,
+                shard_epochs,
+                answers,
+                stats,
+            }
+        })),
+        Request::Interpretations { query, k } => {
+            Reply::Interpretations(contain(|| pipeline.interpretations(&query, k)))
         }
-        Request::DiversifiedTimed { query, opts } => {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                diversified_on_state(state, &interpreter, &query, opts)
-            }));
-            Reply::DiversifiedTimed(TimedReply {
-                completed_at: Instant::now(),
-                result: out.map_err(panic_to_error),
-            })
-        }
+        Request::Diversified { query, opts } => Reply::Diversified(contain(|| {
+            let out = pipeline.diversified(&query, opts);
+            DiversifiedReply {
+                epoch,
+                shard_epochs,
+                answers: out.answers,
+                pool: out.pool,
+                stats: out.stats,
+            }
+        })),
     }
 }
 
-fn answers_on_state(
-    state: &ServingState,
-    interpreter: &Interpreter<'_>,
-    query: &KeywordQuery,
-    k: usize,
-) -> SearchReply {
-    let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
-    let mut exec_cache = ExecCache::with_shared(Arc::clone(&state.exec));
-    let (answers, stats) = interpreter.answers_top_k_with_caches(
-        query,
-        k,
-        ExecOptions::default(),
-        &mut gen_cache,
-        &mut exec_cache,
-    );
-    SearchReply {
-        epoch: state.epoch,
-        shard_epochs: Vec::new(),
-        answers,
-        stats,
-    }
-}
-
-fn diversified_on_state(
-    state: &ServingState,
-    interpreter: &Interpreter<'_>,
-    query: &KeywordQuery,
-    opts: DiversifyOptions,
-) -> DiversifiedReply {
-    let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
-    let mut exec_cache = ExecCache::with_shared(Arc::clone(&state.exec));
-    let out = QueryPipeline::new(
-        interpreter,
-        ExecOptions::default(),
-        &mut gen_cache,
-        &mut exec_cache,
-    )
-    .diversified(query, opts);
-    DiversifiedReply {
-        epoch: state.epoch,
-        shard_epochs: Vec::new(),
-        answers: out.answers,
-        pool: out.pool,
-        stats: out.stats,
-    }
+/// Run one request's serving code under `catch_unwind`: a panicking query
+/// must come back to its client as a typed [`RequestError`], not as a
+/// hung-up channel — and the worker must survive to take the next job.
+/// `AssertUnwindSafe` is sound here because the shared caches only ever
+/// admit *complete* entries (a panic mid-query cannot have published partial
+/// derived state), and everything else the closure touches dies with the
+/// request.
+fn contain<T>(serve: impl FnOnce() -> T) -> Result<T, RequestError> {
+    catch_unwind(AssertUnwindSafe(serve)).map_err(panic_to_error)
 }
 
 /// Render a caught panic payload as the typed reply error. Panics raised by
 /// `panic!("…")` carry `&str` or `String`; anything else gets a fixed tag.
-pub(crate) fn panic_to_error(payload: Box<dyn std::any::Any + Send>) -> RequestError {
+fn panic_to_error(payload: Box<dyn std::any::Any + Send>) -> RequestError {
     let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -2415,6 +2190,14 @@ mod tests {
             assert_eq!(r1.jtts, r2.jtts);
             assert_eq!(r1.keys, r2.keys);
         }
+
+        // A "never expire" TTL saturates instead of wrapping: 2^62 s is
+        // exactly 250 * 2^64 ms, which a truncating cast would turn into a
+        // 0 ms TTL that drops every idle session.
+        service.set_session_ttl(Some(Duration::from_secs(1 << 62)));
+        assert!(service.age_session(b.id, Duration::from_secs(7200)));
+        assert_eq!(service.expire_idle_sessions(), 0);
+        assert!(service.session_view(b.id).is_some());
     }
 
     #[test]

@@ -16,16 +16,17 @@
 //!
 //! - the **global inverted index** (generation must see global term
 //!   statistics to rank interpretations byte-identically to one store),
-//! - the **pk maps** (global `RowId` → primary key per table, to mint
-//!   [`ResultKey`]s without a global database),
+//! - the **pk maps** (global `RowId` → primary key per table, the
+//!   [`PkLookup`] result keys are minted through without a global database),
 //! - the global [`SharedNonemptyCache`] / result-level [`SharedExecCache`]
 //!   generations (swapped on every ingest, like the single-shard service).
 //!
 //! ## Execution: two-phase scatter-gather
 //!
-//! Serving a query runs the identical wave loop as
-//! [`crate::QueryPipeline::answers`] / `diversified`, except each
-//! interpretation's execution scatters:
+//! The coordinator serves every request through the same
+//! [`QueryPipeline`] as the single-shard service — same generation waves,
+//! same post-processing stages, same result cache — with one difference:
+//! its execution backend ([`ScatterExec`]) scatters each interpretation:
 //!
 //! 1. **Reduce**: every shard harvests its local candidate rows and runs
 //!    the full Yannakakis semi-join reduction; it reports its per-node
@@ -45,6 +46,11 @@
 //! (each shard's intermediate stays under the bound). The differential
 //! fixtures never trigger the guard; byte-identity there is exact.
 //!
+//! Predicate rows live in the shards' caches, never in the coordinator's,
+//! so the pipeline's executor-to-generator verdict seeding finds nothing to
+//! seed on the coordinator. Seeded verdicts are index-derivable anyway:
+//! generation output, and therefore every answer, is unchanged.
+//!
 //! Coordinator pool size equals every shard pool size, so at most one job
 //! per shard pool exists per in-flight request and the two-phase barrier
 //! cannot deadlock: every in-flight request's shard jobs hold threads
@@ -52,98 +58,31 @@
 //! always delivered.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 use keybridge_index::InvertedIndex;
 use keybridge_relstore::{
     assign_shards, execute_reduced_in, hash_shard, plan_join_order, reduce_join_tree,
-    split_database, AttrRef, BatchError, Candidates, Database, ExecOptions, ExecStats, JoinPlan,
-    JoinTree, JoinedRow, RelResult, RowBatch, RowId, Schema, ShardAssignment, TableId,
+    split_database, BatchError, Database, ExecOptions, ExecStats, JoinPlan, JoinTree, JoinedRow,
+    RelResult, RowBatch, RowId, Schema, ShardAssignment, TableId,
 };
 
-use crate::exec::{bound_nodes, intersect_sorted, with_result_cache};
-use crate::exec::{ExecCache, ExecutedResult, ResultKey, SharedExecCache};
-use crate::generate::{
-    AnswerStats, Interpreter, NonemptyCache, RankedAnswer, ScoredInterpretation,
-    SharedNonemptyCache,
+use crate::exec::{
+    bound_nodes, collect_result_keys, harvest_candidates, with_result_cache, ExecCache,
+    ExecutedResult, PkLookup, SharedExecCache,
 };
-use crate::interp::{BindingTarget, QueryInterpretation};
-use crate::keyword::KeywordQuery;
-use crate::pipeline::{
-    diversify, BestFirstSource, DivItem, DiversifiedAnswer, DiversifyOptions, InterpretationSource,
-};
+use crate::generate::{Interpreter, NonemptyCache, SharedNonemptyCache};
+use crate::interp::QueryInterpretation;
+use crate::pipeline::{ExecBackend, QueryPipeline};
+use crate::pool::WorkerPool;
 use crate::service::{
-    panic_to_error, DiversifiedReply, IngestError, IngestReceipt, Reply, Request, SearchReply,
-    SearchSnapshot, ServeRequests, ServiceError, ServiceStats, SnapshotEpoch, Ticket, TimedReply,
+    serve_request, submit_pinned, IngestError, IngestReceipt, Reply, Request, SearchSnapshot,
+    ServeRequests, ServiceError, ServiceStats, SnapshotEpoch, Ticket,
 };
-use crate::template::TemplateCatalog;
-
-// ---------------------------------------------------------------------------
-// Worker pool.
-// ---------------------------------------------------------------------------
-
-type PoolJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed set of named threads draining one job queue. Jobs run under
-/// `catch_unwind` so a panicking job never takes its thread down — the
-/// coordinator observes the failure through the job's dropped reply
-/// channel, exactly like the single-shard worker loop observes a dead
-/// sibling. Dropping the pool hangs up the queue and joins every thread.
-struct WorkerPool {
-    tx: Option<Sender<PoolJob>>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn start(name: &str, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (tx, rx) = channel::<PoolJob>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..threads)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || loop {
-                        // Hold the receiver lock only for the pop.
-                        let job = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(_) => return,
-                        };
-                        let Ok(job) = job else { return };
-                        let _ = catch_unwind(AssertUnwindSafe(job));
-                    })
-                    .expect("spawn shard worker thread")
-            })
-            .collect();
-        WorkerPool {
-            tx: Some(tx),
-            threads: handles,
-        }
-    }
-
-    fn submit(&self, job: PoolJob) {
-        if let Some(tx) = &self.tx {
-            // Only fails when every thread is gone; callers observe that
-            // through their reply channel.
-            let _ = tx.send(job);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.tx.take(); // hang up: threads drain the queue, then exit
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
+#[cfg(any(test, feature = "test-seams"))]
+use crate::service::{timed_answers, SearchReply, TimedReply};
 
 // ---------------------------------------------------------------------------
 // Published state.
@@ -206,6 +145,7 @@ struct ShardedWriter {
 }
 
 /// Everything a coordinator job needs, cloneable into the job closure.
+#[derive(Clone)]
 struct ServeCtx {
     base: Arc<SearchSnapshot>,
     /// Empty database over the schema — the generation side only reads
@@ -217,19 +157,6 @@ struct ServeCtx {
     /// Gathered-but-never-merged rows: what the bounded top-k merge left
     /// unconsumed once the global prefix was provably complete.
     shard_rows_skipped: Arc<AtomicUsize>,
-}
-
-impl Clone for ServeCtx {
-    fn clone(&self) -> Self {
-        ServeCtx {
-            base: Arc::clone(&self.base),
-            schema_db: Arc::clone(&self.schema_db),
-            current: Arc::clone(&self.current),
-            pools: Arc::clone(&self.pools),
-            served: Arc::clone(&self.served),
-            shard_rows_skipped: Arc::clone(&self.shard_rows_skipped),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -567,20 +494,15 @@ impl ShardedService {
 
 impl ServeRequests for ShardedService {
     fn submit_request(&self, request: Request) -> Ticket<Reply> {
-        let (reply, rx) = channel();
+        // One pinned generation serves the whole request (snapshot
+        // isolation across every shard at once).
         let ctx = self.ctx.clone();
-        self.coordinator.submit(Box::new(move || {
-            // Pin one generation for the whole request (snapshot isolation
-            // across every shard at once).
-            let set = match ctx.current.lock() {
-                Ok(guard) => Arc::clone(&guard),
-                Err(_) => return,
-            };
-            let out = serve_sharded(&ctx, &set, request);
-            ctx.served.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(out);
-        }));
-        Ticket::raw(rx)
+        submit_pinned(
+            &self.coordinator,
+            &self.ctx.current,
+            &self.ctx.served,
+            move |set| serve_sharded(&ctx, set, request),
+        )
     }
 
     fn ingest_batch(&self, batch: &RowBatch) -> Result<IngestReceipt, ServiceError> {
@@ -637,26 +559,21 @@ impl ServeRequests for ShardedService {
 
     #[cfg(any(test, feature = "test-seams"))]
     fn submit_sleeping(&self, dur: std::time::Duration) -> Ticket<TimedReply<SearchReply>> {
-        let (reply, rx) = channel();
-        let ctx = self.ctx.clone();
-        self.coordinator.submit(Box::new(move || {
-            let set = match ctx.current.lock() {
-                Ok(guard) => Arc::clone(&guard),
-                Err(_) => return,
-            };
-            std::thread::sleep(dur);
-            ctx.served.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(Reply::AnswersTimed(TimedReply {
-                completed_at: Instant::now(),
-                result: Ok(SearchReply {
+        submit_pinned(
+            &self.coordinator,
+            &self.ctx.current,
+            &self.ctx.served,
+            move |set| {
+                std::thread::sleep(dur);
+                Reply::Answers(Ok(SearchReply {
                     epoch: set.generation,
                     shard_epochs: set.shard_epochs(),
                     answers: Vec::new(),
-                    stats: AnswerStats::default(),
-                }),
-            }));
-        }));
-        Ticket::raw(rx).expecting(crate::service::reply_answers_timed)
+                    stats: Default::default(),
+                }))
+            },
+        )
+        .expecting(timed_answers)
     }
 }
 
@@ -775,254 +692,31 @@ fn resolve_route(
 }
 
 // ---------------------------------------------------------------------------
-// Serving: the coordinator-side pipeline mirror.
+// Serving: the shared pipeline over scatter-gather execution.
 // ---------------------------------------------------------------------------
 
-/// Serve one request against a pinned generation — the sharded counterpart
-/// of the single-shard `serve_request`, with the same panic containment
-/// per arm and the same completion-stamp placement.
-fn serve_sharded(ctx: &ServeCtx, set: &Arc<ShardSet>, request: Request) -> Reply {
-    match request {
-        Request::Answers { query, k } => Reply::Answers(
-            catch_unwind(AssertUnwindSafe(|| answers_on_set(ctx, set, &query, k)))
-                .map_err(panic_to_error),
-        ),
-        Request::Interpretations { query, k } => Reply::Interpretations(
-            catch_unwind(AssertUnwindSafe(|| {
-                let interpreter = coordinator_interpreter(ctx, set);
-                let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&set.nonempty));
-                interpreter.top_k_with_cache(&query, k, true, &mut gen_cache)
-            }))
-            .map_err(panic_to_error),
-        ),
-        Request::Diversified { query, opts } => Reply::Diversified(
-            catch_unwind(AssertUnwindSafe(|| {
-                diversified_on_set(ctx, set, &query, opts)
-            }))
-            .map_err(panic_to_error),
-        ),
-        Request::AnswersTimed { query, k } => {
-            let out = catch_unwind(AssertUnwindSafe(|| answers_on_set(ctx, set, &query, k)));
-            Reply::AnswersTimed(TimedReply {
-                completed_at: Instant::now(),
-                result: out.map_err(panic_to_error),
-            })
-        }
-        Request::DiversifiedTimed { query, opts } => {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                diversified_on_set(ctx, set, &query, opts)
-            }));
-            Reply::DiversifiedTimed(TimedReply {
-                completed_at: Instant::now(),
-                result: out.map_err(panic_to_error),
-            })
-        }
-    }
-}
-
-/// The generation-side interpreter: global index (oracle-identical term
-/// statistics), schema-only database (generation reads only schema names).
-fn coordinator_interpreter<'a>(ctx: &'a ServeCtx, set: &'a ShardSet) -> Interpreter<'a> {
-    Interpreter::new(
+/// Serve one request against a pinned generation through the shared
+/// request dispatch — the same [`QueryPipeline`] as the single-shard
+/// service, executing on [`ScatterExec`].
+fn serve_sharded(ctx: &ServeCtx, set: &ShardSet, request: Request) -> Reply {
+    // Generation ranks on the global index (oracle-identical term
+    // statistics) and reads only schema names from the database.
+    let interpreter = Interpreter::new(
         &ctx.schema_db,
-        &set.index,
+        &*set.index,
         &ctx.base.catalog,
         ctx.base.config.clone(),
-    )
-}
-
-/// Streamed top-k answers: the exact wave loop of
-/// [`crate::QueryPipeline::answers`], with scatter-gather execution in
-/// place of the single-store executor and pk-map key minting in place of
-/// `db.pk_value`. Verdict seeding from executor predicates is skipped (the
-/// coordinator's result cache holds no predicate rows); seeded verdicts
-/// are index-derivable, so generation output — and therefore the answers —
-/// is unchanged, only the uncompared seeding counter differs.
-fn answers_on_set(ctx: &ServeCtx, set: &ShardSet, query: &KeywordQuery, k: usize) -> SearchReply {
-    let mut stats = AnswerStats::default();
-    let mut answers: Vec<RankedAnswer> = Vec::new();
-    if k > 0 && !query.is_empty() {
-        let interpreter = coordinator_interpreter(ctx, set);
-        let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&set.nonempty));
-        let mut exec_cache = ExecCache::with_shared(Arc::clone(&set.exec));
-        let mut source = BestFirstSource::new(&interpreter, query, true);
-        let start = k.max(8).min(interpreter.config().max_interpretations);
-        let mut failed: HashSet<QueryInterpretation> = HashSet::new();
-        let mut gen_k = start;
-        loop {
-            stats.waves += 1;
-            let (ranked, gstats) = source.pull(gen_k, &mut gen_cache);
-            stats.gen = gstats;
-            stats.generated = ranked.len();
-            answers.clear();
-            for s in ranked.iter() {
-                let remaining = k - answers.len().min(k);
-                if remaining == 0 {
-                    break;
-                }
-                let Some(res) = executed_sharded(
-                    ctx,
-                    set,
-                    s,
-                    remaining,
-                    &mut exec_cache,
-                    &mut stats,
-                    &mut failed,
-                ) else {
-                    continue;
-                };
-                collect_answers(
-                    &ctx.base.catalog,
-                    &set.pk_maps,
-                    s,
-                    &res,
-                    remaining,
-                    &mut answers,
-                );
-            }
-            let exhausted = ranked.len() < gen_k || gen_k >= source.cap();
-            if k - answers.len().min(k) == 0 || exhausted {
-                break;
-            }
-            gen_k = gen_k.saturating_mul(4).min(source.cap());
-        }
-        stats.predicate_cache_hits = exec_cache.predicate_hits;
-        stats.result_cache_hits = exec_cache.result_hits;
-        stats.answers = answers.len();
-    }
-    SearchReply {
-        epoch: set.generation,
-        shard_epochs: set.shard_epochs(),
-        answers,
-        stats,
-    }
-}
-
-/// Diversified top-k: the exact single-wave pool build of
-/// [`crate::QueryPipeline::diversified`] over scatter-gather execution.
-fn diversified_on_set(
-    ctx: &ServeCtx,
-    set: &ShardSet,
-    query: &KeywordQuery,
-    opts: DiversifyOptions,
-) -> DiversifiedReply {
-    let mut stats = AnswerStats::default();
-    let mut items: Vec<DivItem> = Vec::new();
-    let mut keys: Vec<BTreeSet<ResultKey>> = Vec::new();
-    let mut picks: Vec<ScoredInterpretation> = Vec::new();
-    if opts.pool > 0 && !query.is_empty() {
-        let interpreter = coordinator_interpreter(ctx, set);
-        let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&set.nonempty));
-        let mut exec_cache = ExecCache::with_shared(Arc::clone(&set.exec));
-        let mut source = BestFirstSource::new(&interpreter, query, true);
-        let start = opts
-            .pool
-            .min(interpreter.config().max_interpretations.max(1));
-        let mut failed: HashSet<QueryInterpretation> = HashSet::new();
-        // One wave (no growth), like the single-shard pool build.
-        stats.waves += 1;
-        let (ranked, gstats) = source.pull(start, &mut gen_cache);
-        stats.gen = gstats;
-        stats.generated = ranked.len();
-        for s in ranked.iter() {
-            if opts.cap == 0 {
-                break;
-            }
-            let Some(res) = executed_sharded(
-                ctx,
-                set,
-                s,
-                opts.cap,
-                &mut exec_cache,
-                &mut stats,
-                &mut failed,
-            ) else {
-                continue;
-            };
-            items.push(DivItem {
-                relevance: s.probability,
-                atoms: s
-                    .interpretation
-                    .atoms(&ctx.base.catalog)
-                    .into_iter()
-                    .collect(),
-            });
-            keys.push(prefix_keys(
-                &ctx.base.catalog,
-                &set.pk_maps,
-                &s.interpretation,
-                &res,
-                opts.cap,
-            ));
-            picks.push(s.clone());
-        }
-        stats.predicate_cache_hits = exec_cache.predicate_hits;
-        stats.result_cache_hits = exec_cache.result_hits;
-    }
-    let selected = diversify(&items, opts.config);
-    let answers: Vec<DiversifiedAnswer> = selected
-        .into_iter()
-        .map(|i| DiversifiedAnswer {
-            interpretation: picks[i].interpretation.clone(),
-            log_score: picks[i].log_score,
-            relevance: items[i].relevance,
-            atoms: items[i].atoms.clone(),
-            keys: keys[i].clone(),
-            pool_rank: i,
-        })
-        .collect();
-    stats.answers = answers.len();
-    DiversifiedReply {
-        epoch: set.generation,
-        shard_epochs: set.shard_epochs(),
-        answers,
-        pool: items.len(),
-        stats,
-    }
-}
-
-/// One interpretation through the cached scatter-gather executor — the
-/// per-candidate body of the pipeline's drive loop: tombstone errored
-/// interpretations, count fresh executions once, drop empty results.
-fn executed_sharded(
-    ctx: &ServeCtx,
-    set: &ShardSet,
-    s: &ScoredInterpretation,
-    remaining: usize,
-    exec_cache: &mut ExecCache,
-    stats: &mut AnswerStats,
-    failed: &mut HashSet<QueryInterpretation>,
-) -> Option<Arc<ExecutedResult>> {
-    let opts = ExecOptions {
-        limit: remaining,
-        count_only: false,
-        ..ExecOptions::default()
-    };
-    if failed.contains(&s.interpretation) {
-        return None;
-    }
-    let hits_before = exec_cache.result_hits;
-    let res = match with_result_cache(exec_cache, &s.interpretation, opts, |_| {
-        scatter_execute(ctx, set, &s.interpretation, opts)
-    }) {
-        Ok(r) => r,
-        Err(_) => {
-            stats.exec_errors += 1;
-            failed.insert(s.interpretation.clone());
-            return None;
-        }
-    };
-    if exec_cache.result_hits == hits_before {
-        stats.executed += 1;
-        stats.exec.absorb(&res.stats);
-        if !res.is_empty() {
-            stats.nonempty += 1;
-        }
-    }
-    if res.is_empty() {
-        return None;
-    }
-    Some(res)
+    );
+    let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&set.nonempty));
+    let mut exec_cache = ExecCache::with_shared(Arc::clone(&set.exec));
+    let mut pipeline = QueryPipeline::with_backend(
+        &interpreter,
+        ScatterExec { ctx, set },
+        ExecOptions::default(),
+        &mut gen_cache,
+        &mut exec_cache,
+    );
+    serve_request(&mut pipeline, request, set.generation, set.shard_epochs())
 }
 
 // ---------------------------------------------------------------------------
@@ -1033,6 +727,35 @@ fn executed_sharded(
 /// candidate counts before reduction, per-node reduced-set sizes, and the
 /// reduction's executor counters.
 type ReduceReport = RelResult<(Vec<usize>, Vec<usize>, ExecStats)>;
+
+/// The coordinator's execution backend over one pinned generation: results
+/// are memoized in the coordinator's result cache exactly like local
+/// executions, misses scatter across the shards, and result keys are minted
+/// from the global pk maps.
+#[derive(Clone, Copy)]
+struct ScatterExec<'c> {
+    ctx: &'c ServeCtx,
+    set: &'c ShardSet,
+}
+
+impl PkLookup for ScatterExec<'_> {
+    fn pk(&self, table: TableId, row: RowId) -> i64 {
+        self.set.pk_maps[table.0 as usize][row.index()]
+    }
+}
+
+impl ExecBackend for ScatterExec<'_> {
+    fn execute(
+        &self,
+        interp: &QueryInterpretation,
+        opts: ExecOptions,
+        cache: &mut ExecCache,
+    ) -> RelResult<Arc<ExecutedResult>> {
+        with_result_cache(cache, interp, opts, |_| {
+            scatter_execute(self.ctx, self.set, interp, opts)
+        })
+    }
+}
 
 /// Execute one interpretation across every shard and merge the prefixes
 /// into the oracle's result (see the module docs for why the merge is
@@ -1173,7 +896,8 @@ fn scatter_execute(
         .fetch_add(total - consumed, Ordering::Relaxed);
     stats.result_count = merged.len();
     let bound = bound_nodes(interp, n);
-    let (keys, all_keys) = collect_result_keys(&set.pk_maps, &tree.nodes, &bound, &merged);
+    let (keys, all_keys) =
+        collect_result_keys(&ScatterExec { ctx, set }, &tree.nodes, &bound, &merged);
     Ok(ExecutedResult {
         jtts: merged,
         keys,
@@ -1212,29 +936,12 @@ fn shard_execute(
     plan_rx: Receiver<Option<JoinPlan>>,
     out_tx: Sender<RelResult<(Vec<JoinedRow>, ExecStats)>>,
 ) {
-    let n = tree.nodes.len();
-    // Candidate harvest, exactly like `execute_inner`: predicate row sets
-    // through the (shard-local) cache, sorted-merge intersection for
-    // multiple predicates on one node.
+    // The executor's candidate harvest, through the shard-local cache.
     let mut cache = ExecCache::with_shared(Arc::clone(&shard.exec));
-    let mut per_node: Vec<Option<Vec<RowId>>> = vec![None; n];
-    for b in &interp.bindings {
-        if let BindingTarget::Value { node, attr } = b.target {
-            let aref = AttrRef {
-                table: tree.nodes[node],
-                attr,
-            };
-            let rows = (*cache.rows(&shard.index, &b.keywords, aref)).clone();
-            per_node[node] = Some(match per_node[node].take() {
-                Some(mut prev) => {
-                    intersect_sorted(&mut prev, &rows);
-                    prev
-                }
-                None => rows,
-            });
-        }
-    }
-    let reduced = match reduce_join_tree(&shard.db, tree, &Candidates { per_node }) {
+    let candidates = harvest_candidates(&tree.nodes, interp, |keywords, aref| {
+        (*cache.rows(&shard.index, keywords, aref)).clone()
+    });
+    let reduced = match reduce_join_tree(&shard.db, tree, &candidates) {
         Ok(r) => r,
         Err(e) => {
             let _ = red_tx.send(Err(e));
@@ -1265,94 +972,45 @@ fn shard_execute(
     let _ = out_tx.send(result);
 }
 
-// ---------------------------------------------------------------------------
-// pk-map key minting (mirrors of the db-backed helpers in `crate::exec` /
-// `crate::generate`, which the coordinator cannot use: its database is
-// schema-only).
-// ---------------------------------------------------------------------------
-
-fn pk_of(pk_maps: &[Vec<i64>], table: TableId, row: RowId) -> i64 {
-    pk_maps[table.0 as usize][row.index()]
-}
-
-/// Mirror of `exec::collect_result_keys` over the pk maps.
-fn collect_result_keys(
-    pk_maps: &[Vec<i64>],
-    nodes: &[TableId],
-    bound: &[bool],
-    jtts: &[JoinedRow],
-) -> (BTreeSet<ResultKey>, BTreeSet<ResultKey>) {
-    let mut keys = BTreeSet::new();
-    let mut all_keys = BTreeSet::new();
-    for jtt in jtts {
-        for (node, row) in jtt.iter().enumerate() {
-            let table = nodes[node];
-            let key = ResultKey {
-                table,
-                pk: pk_of(pk_maps, table, *row),
-            };
-            all_keys.insert(key);
-            if bound[node] {
-                keys.insert(key);
-            }
-        }
-    }
-    (keys, all_keys)
-}
-
-/// Mirror of `Interpreter::collect_answers` over the pk maps.
-fn collect_answers(
-    catalog: &TemplateCatalog,
-    pk_maps: &[Vec<i64>],
-    s: &ScoredInterpretation,
-    res: &ExecutedResult,
-    remaining: usize,
-    answers: &mut Vec<RankedAnswer>,
-) {
-    let tpl = catalog.get(s.interpretation.template);
-    let bound = bound_nodes(&s.interpretation, tpl.tree.nodes.len());
-    for jtt in res.jtts.iter().take(remaining) {
-        let mut keys: Vec<ResultKey> = jtt
-            .iter()
-            .enumerate()
-            .filter(|(node, _)| bound[*node])
-            .map(|(node, row)| {
-                let table = tpl.tree.nodes[node];
-                ResultKey {
-                    table,
-                    pk: pk_of(pk_maps, table, *row),
-                }
-            })
-            .collect();
-        keys.sort();
-        keys.dedup();
-        answers.push(RankedAnswer {
-            interpretation: s.interpretation.clone(),
-            log_score: s.log_score,
-            jtt: jtt.clone(),
-            keys,
-        });
-    }
-}
-
-/// Mirror of `exec::prefix_keys` over the pk maps.
-fn prefix_keys(
-    catalog: &TemplateCatalog,
-    pk_maps: &[Vec<i64>],
-    interp: &QueryInterpretation,
-    res: &ExecutedResult,
-    cap: usize,
-) -> BTreeSet<ResultKey> {
-    if res.jtts.len() <= cap {
-        return res.keys.clone();
-    }
-    let tpl = catalog.get(interp.template);
-    let bound = bound_nodes(interp, tpl.tree.nodes.len());
-    collect_result_keys(pk_maps, &tpl.tree.nodes, &bound, &res.jtts[..cap]).0
-}
-
 // Everything a coordinator or shard job touches crosses threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardedService>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generate::InterpreterConfig;
+    use crate::keyword::KeywordQuery;
+    use crate::SearchService;
+    use keybridge_datagen::{ImdbConfig, ImdbDataset};
+
+    /// The pipeline seeds generator verdicts from the exec cache's
+    /// predicate tier. On the coordinator that tier must stay empty (the
+    /// predicate rows live in the shards' caches), so seeding is a no-op
+    /// there — while the same queries fill that tier on a single store.
+    #[test]
+    fn coordinator_exec_cache_holds_no_predicates() {
+        let data = ImdbDataset::generate(ImdbConfig::tiny(1)).unwrap();
+        let snap = Arc::new(
+            SearchSnapshot::build(data.db, InterpreterConfig::default(), 4, 50_000).unwrap(),
+        );
+        let single = SearchService::start(Arc::clone(&snap), 1);
+        let sharded = ShardedService::start(snap, 2, 1);
+        for terms in [vec!["tom", "hanks"], vec!["mary"], vec!["day", "moore"]] {
+            let q = KeywordQuery::from_terms(terms.into_iter().map(String::from).collect());
+            single.search_versioned(&q, 5);
+            let reply = sharded.search_versioned(&q, 5);
+            assert!(reply.stats.executed > 0);
+            assert_eq!(reply.stats.nonempty_seeded, 0);
+            let div = sharded.search_diversified(&q, Default::default());
+            assert_eq!(div.stats.nonempty_seeded, 0);
+        }
+        assert!(single.stats().predicate_entries > 0);
+        let set = Arc::clone(&sharded.ctx.current.lock().unwrap());
+        assert_eq!(set.exec.predicate_count(), 0);
+        assert!(set.exec.result_count() > 0);
+        assert!(set.shards.iter().any(|s| s.exec.predicate_count() > 0));
+    }
+}

@@ -99,6 +99,8 @@ fn main() {
     //    front of it. Concurrent queries share the thread-safe non-emptiness
     //    and execution caches, so each request prunes the next one's work —
     //    and every reply is byte-identical to the single-threaded path.
+    //    Requests go through the `ServeRequests` trait (`submit`, `search*`,
+    //    `submit_diversified`, …), the one surface every deployment serves.
     let snapshot = Arc::new(SearchSnapshot::new(
         data.db,
         index,

@@ -54,7 +54,9 @@
 //! so stale derived state can never leak into post-update answers:
 //!
 //! ```
-//! use keybridge::core::{InterpreterConfig, KeywordQuery, SearchService, SearchSnapshot};
+//! use keybridge::core::{
+//!     InterpreterConfig, KeywordQuery, SearchService, SearchSnapshot, ServeRequests,
+//! };
 //! use keybridge::datagen::{ImdbConfig, ImdbDataset};
 //! use keybridge::relstore::{RowBatch, Value};
 //! use std::sync::Arc;
@@ -66,7 +68,8 @@
 //! );
 //! let service = SearchService::start(snapshot, 2);
 //!
-//! // Submit asynchronously from any thread; block on the ticket when ready.
+//! // Submit asynchronously from any thread (the request helpers are
+//! // methods of the `ServeRequests` trait); block on the ticket when ready.
 //! let query = KeywordQuery::from_terms(vec!["tom".into()]);
 //! let ticket = service.submit(query.clone(), 5);
 //! // The ticket payload is a Result: a panicking worker replies with a

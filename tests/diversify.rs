@@ -9,7 +9,7 @@
 
 use keybridge::core::{
     DiversifiedReply, DiversifyConfig, DiversifyOptions, InterpreterConfig, KeywordQuery,
-    SearchService, SearchSnapshot, SessionConfig, SessionView, TemplateCatalog,
+    SearchService, SearchSnapshot, ServeRequests, SessionConfig, SessionView, TemplateCatalog,
 };
 use keybridge::datagen::{
     holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,

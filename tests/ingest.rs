@@ -14,7 +14,8 @@
 //! concurrent readers racing the epoch swaps.
 
 use keybridge::core::{
-    InterpreterConfig, KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, TemplateCatalog,
+    InterpreterConfig, KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, ServeRequests,
+    TemplateCatalog,
 };
 use keybridge::datagen::{
     holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,

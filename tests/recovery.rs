@@ -18,8 +18,8 @@
 
 use keybridge::core::{
     scan_wal, DurabilityError, DurableOptions, FaultPoint, IngestError, InterpreterConfig,
-    KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, TemplateCatalog, SNAPSHOT_FILE,
-    WAL_FILE,
+    KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, ServeRequests, TemplateCatalog,
+    SNAPSHOT_FILE, WAL_FILE,
 };
 use keybridge::datagen::{
     holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,

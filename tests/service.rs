@@ -6,7 +6,8 @@
 //! hammering the shared caches from many clients at once.
 
 use keybridge::core::{
-    InterpreterConfig, KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, TemplateCatalog,
+    InterpreterConfig, KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, ServeRequests,
+    TemplateCatalog,
 };
 use keybridge::datagen::{
     holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,

@@ -8,9 +8,9 @@
 //! the unified serving seam.
 
 use keybridge::core::{
-    DiversifiedReply, DiversifyOptions, InterpreterConfig, KeywordQuery, RankedAnswer, Reply,
-    Request, ScoredInterpretation, SearchService, SearchSnapshot, ServeRequests, ServiceBuilder,
-    ShardedService, TemplateCatalog,
+    DiversifiedReply, DiversifyOptions, InterpreterConfig, KeywordQuery, KeywordService,
+    RankedAnswer, Reply, Request, ScoredInterpretation, SearchService, SearchSnapshot,
+    ServeRequests, ServiceBuilder, ShardedService, TemplateCatalog,
 };
 use keybridge::datagen::{
     sharded_holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,
@@ -165,12 +165,13 @@ fn yago_log() -> (Arc<SearchSnapshot>, Vec<Vec<String>>) {
 
 // --- scatter-gather differential --------------------------------------------
 
-/// Replay `queries` through a K=4 sharded service from `clients` concurrent
-/// threads, mixing answer and diversified requests, and assert every reply
-/// is byte-identical to the single-shard cold oracle.
+/// Replay `queries` through a `shards`-shard sharded service from `clients`
+/// concurrent threads, mixing answer and diversified requests, and assert
+/// every reply is byte-identical to the single-shard cold oracle.
 fn assert_sharded_identical(
     snapshot: Arc<SearchSnapshot>,
     queries: &[Vec<String>],
+    shards: usize,
     workers: usize,
     clients: usize,
     k: usize,
@@ -190,13 +191,19 @@ fn assert_sharded_identical(
     );
     drop(single);
 
-    let service = ServiceBuilder::new()
-        .workers(workers)
-        .shards(SHARDS)
-        .start(snapshot)
-        .unwrap();
-    let sharded = service.as_sharded().expect("shards(4) builds sharded");
-    assert_eq!(sharded.shard_count(), SHARDS);
+    // `ServiceBuilder::shards(1)` builds the single-shard service, so the
+    // degenerate one-shard coordinator is started directly.
+    let service = if shards == 1 {
+        KeywordService::Sharded(ShardedService::start(snapshot, 1, workers))
+    } else {
+        ServiceBuilder::new()
+            .workers(workers)
+            .shards(shards)
+            .start(snapshot)
+            .unwrap()
+    };
+    let sharded = service.as_sharded().expect("a sharded service");
+    assert_eq!(sharded.shard_count(), shards);
     let service = Arc::new(service);
     std::thread::scope(|scope| {
         for c in 0..clients {
@@ -211,7 +218,7 @@ fn assert_sharded_identical(
                     let reply = service.search_versioned(&q, k);
                     assert_eq!(
                         reply.shard_epochs.len(),
-                        SHARDS,
+                        shards,
                         "reply must carry the per-shard epoch vector"
                     );
                     assert_eq!(
@@ -223,7 +230,7 @@ fn assert_sharded_identical(
                     // Every other query doubles as a diversified probe.
                     if i % 2 == c % 2 {
                         let div = service.search_diversified(&q, DiversifyOptions::default());
-                        assert_eq!(div.shard_epochs.len(), SHARDS);
+                        assert_eq!(div.shard_epochs.len(), shards);
                         assert_eq!(
                             canon_div(&div),
                             expected_div[j],
@@ -243,25 +250,27 @@ fn assert_sharded_identical(
 #[test]
 fn sharded_identical_imdb() {
     let (snap, queries) = imdb_log();
-    assert_sharded_identical(snap, &queries, 4, 4, 5);
+    assert_sharded_identical(Arc::clone(&snap), &queries, SHARDS, 4, 4, 5);
+    // K=1: the scatter backend's degenerate case of the shared pipeline.
+    assert_sharded_identical(snap, &queries, 1, 4, 4, 5);
 }
 
 #[test]
 fn sharded_identical_lyrics() {
     let (snap, queries) = lyrics_log();
-    assert_sharded_identical(snap, &queries, 4, 4, 5);
+    assert_sharded_identical(snap, &queries, SHARDS, 4, 4, 5);
 }
 
 #[test]
 fn sharded_identical_freebase() {
     let (snap, queries) = freebase_log();
-    assert_sharded_identical(snap, &queries, 4, 4, 5);
+    assert_sharded_identical(snap, &queries, SHARDS, 4, 4, 5);
 }
 
 #[test]
 fn sharded_identical_yago() {
     let (snap, queries) = yago_log();
-    assert_sharded_identical(snap, &queries, 4, 4, 5);
+    assert_sharded_identical(snap, &queries, SHARDS, 4, 4, 5);
 }
 
 // --- routing: only touched shards swap epochs --------------------------------
