@@ -340,13 +340,14 @@ fn main() {
     );
     println!(
         "  hash join  : {} intermediate bindings, {} probes, {} batches, \
-         semi-join kept {}/{} rows ({:.0}% pruned) in {:.2} ms",
+         semi-join kept {}/{} rows ({:.0}% pruned, {} rows touched) in {:.2} ms",
         hj.intermediate_bindings,
         hj.probes,
         hj.batches,
         hj.semijoin_rows_out,
         hj.semijoin_rows_in,
         hj.semijoin_reduction() * 100.0,
+        hj.reduce_rows_touched,
         t_exec_hj * 1e3
     );
     println!(
@@ -1007,6 +1008,11 @@ fn render_json(
     s.push_str(&format!(
         "    \"semijoin_rows_out\": {},\n",
         hj.semijoin_rows_out
+    ));
+    // Informational: the reducer's work, not in the gated counter set.
+    s.push_str(&format!(
+        "    \"reduce_rows_touched\": {},\n",
+        hj.reduce_rows_touched
     ));
     s.push_str(&format!("    \"batch_cols\": {},\n", hj.batch_cols));
     s.push_str(&format!("    \"batch_allocs\": {},\n", hj.batch_allocs));

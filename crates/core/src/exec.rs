@@ -526,7 +526,7 @@ pub(crate) fn prefix_keys<P: PkLookup + ?Sized>(
 /// value predicate's rows come from `rows`, and two predicates on one node
 /// are sorted-merge intersected (both lists come out of the index sorted).
 /// The one harvest the single-store executor and every shard job run.
-pub(crate) fn harvest_candidates(
+pub fn harvest_candidates(
     nodes: &[TableId],
     interp: &QueryInterpretation,
     mut rows: impl FnMut(&[String], AttrRef) -> Vec<RowId>,

@@ -11,10 +11,15 @@
 //!
 //! Two strategies are available (see [`ExecStrategy`]):
 //!
-//! * **Hash join** (the default): a semi-join reduction pre-pass — one
-//!   bottom-up and one top-down sweep over the tree, the Yannakakis full
-//!   reducer — shrinks every candidate set to rows that participate in at
-//!   least one complete JTT. Bindings then grow in *columnar batches* (one
+//! * **Hash join** (the default): a semi-join reduction pre-pass shrinks
+//!   every candidate set to rows that participate in at least one complete
+//!   JTT. Free nodes are materialized cheapest-first, expanding outward
+//!   from the keyword-given nodes through the pk / fk indexes (never by
+//!   scanning a free table), then one bottom-up and one top-down sweep over
+//!   the tree — the Yannakakis full reducer — filters every set by sorted
+//!   join keys. The fully reduced sets are unique, so the materialization
+//!   order changes the work, never the output. Bindings then grow in
+//!   *columnar batches* (one
 //!   `Vec<RowId>` column per joined node, struct-of-arrays) by build/probe
 //!   hash joins along the tree, attaching the most selective node first.
 //!   Because the tree is fully reduced, every partial binding is guaranteed
@@ -182,11 +187,17 @@ pub struct ExecStats {
     /// quantity the batched executor minimizes.
     pub intermediate_bindings: usize,
     /// Candidate rows across all nodes before semi-join reduction
-    /// (hash-join strategy only; free nodes count their full table).
+    /// (hash-join strategy only). A nominal input size, not work: free
+    /// nodes count their full table although the reducer never scans them
+    /// — see [`ExecStats::reduce_rows_touched`] for the work done.
     pub semijoin_rows_in: usize,
     /// Candidate rows across all nodes after the bottom-up + top-down
     /// reduction sweeps.
     pub semijoin_rows_out: usize,
+    /// Rows the semi-join reducer touched: rows written into materialized
+    /// sets, plus source rows whose join keys were extracted, plus target
+    /// rows examined by each filter step.
+    pub reduce_rows_touched: usize,
     /// Result tuples found (capped at `limit`).
     pub result_count: usize,
     /// Columnar batch materializations: what the pre-arena executor paid
@@ -210,6 +221,7 @@ impl ExecStats {
         self.intermediate_bindings += other.intermediate_bindings;
         self.semijoin_rows_in += other.semijoin_rows_in;
         self.semijoin_rows_out += other.semijoin_rows_out;
+        self.reduce_rows_touched += other.reduce_rows_touched;
         self.result_count += other.result_count;
         self.batch_cols += other.batch_cols;
         self.batch_allocs += other.batch_allocs;
@@ -249,16 +261,20 @@ pub struct JoinPlan {
 /// Output of the semi-join reduction pre-pass ([`reduce_join_tree`]): fully
 /// materialized, fully reduced per-node row sets, the pre-reduction (given)
 /// cardinalities the join planner keys on, and the reduction counters.
+/// Unique for given inputs: it does not depend on how the reducer
+/// materializes or sweeps.
 #[derive(Debug, Clone)]
 pub struct ReducedTree {
-    /// Per node: surviving candidate rows, sorted where the reducer sorts
-    /// them. Empty sets mean the join has no results.
+    /// Per node: the rows that take part in at least one complete JTT. A
+    /// given node keeps its candidate list's order (and any duplicates); a
+    /// free node's rows are sorted and distinct. If the join has no
+    /// results, every set is empty.
     pub sets: Vec<Vec<RowId>>,
     /// Per node: candidate rows *before* reduction (free nodes count their
     /// full table) — the quantity seed selection keys on.
     pub given: Vec<usize>,
-    /// `semijoin_rows_in` / `semijoin_rows_out` for this reduction; the
-    /// join-phase counters stay zero.
+    /// `semijoin_rows_in` / `semijoin_rows_out` / `reduce_rows_touched`
+    /// for this reduction; the join-phase counters stay zero.
     pub stats: ExecStats,
 }
 
@@ -373,6 +389,28 @@ fn execute_hash_join(
 /// its own so sharded executions can reduce locally, exchange only the
 /// resulting cardinalities, and then run [`execute_reduced`] under a plan
 /// forced by a coordinator.
+///
+/// Two phases. **Cheapest-first materialization**: the restricted (given)
+/// nodes start materialized; then, repeatedly, the edge from a materialized
+/// node `u` to a free node `v` with the smallest estimated size of `v` —
+/// `|set u|` when `v` is the pk side, `|set u| × |table v| / |table u|`
+/// when `v` references `u` (ties: lowest edge index) — materializes `v`
+/// exactly from `u`'s join keys through the pk / fk indexes, sorted and
+/// deduplicated. Expansion thus grows outward from the selective side and
+/// never scans a free table; only an all-free tree starts from full
+/// tables. **One exact sweep**: the Yannakakis full reducer (filter each
+/// parent by its children bottom-up, then each child by its parent
+/// top-down) over the materialized sets, each step a binary search of the
+/// target's join keys in the source's sorted, distinct keys. A step is
+/// skipped when it cannot remove anything: its target was already made
+/// consistent with (or materialized from) the source's current set. An
+/// empty set ends the reduction: no complete JTT exists.
+///
+/// The output does not depend on the materialization order: a fully
+/// reduced node holds exactly its rows that take part in some complete
+/// JTT. Given sets are filtered order-preservingly (their order and any
+/// duplicates survive) and materialized sets come out sorted, so every
+/// exact full reducer returns the same [`ReducedTree`].
 pub fn reduce_join_tree(
     db: &Database,
     tree: &JoinTree,
@@ -385,47 +423,202 @@ pub fn reduce_join_tree(
         ));
     }
     let n = tree.nodes.len();
-    let mut stats = ExecStats::default();
-
-    // Candidate sets stay lazy: `None` = still unrestricted. The semi-join
-    // sweeps materialize a free node *from its neighbor's keys* (via the
-    // pk / fk hash indexes) the first time a restricted neighbor touches
-    // it, so an execution never scans or hashes a full free table. When
-    // every node is free there is nothing to propagate from, so all nodes
-    // materialize up front and the sweeps reduce them directly — either
-    // way the tree ends fully reduced.
-    let mut sets: Vec<Option<Vec<RowId>>> = candidates.per_node.clone();
-    if sets.iter().all(Option::is_none) {
-        for (i, s) in sets.iter_mut().enumerate() {
-            *s = Some(db.table(tree.nodes[i]).rows().map(|(r, _)| r).collect());
-        }
-    }
-    stats.semijoin_rows_in = (0..n)
-        .map(|i| match &sets[i] {
+    let given: Vec<usize> = (0..n)
+        .map(|i| match &candidates.per_node[i] {
             Some(rows) => rows.len(),
             None => db.table(tree.nodes[i]).len(),
         })
-        .sum();
-
-    // Root the tree at the most selective *given* node and compute a BFS
-    // order with parent pointers (edge index per non-root node).
-    let given_card = |i: usize| -> usize {
-        match &candidates.per_node[i] {
-            Some(rows) => rows.len(),
-            None => db.table(tree.nodes[i]).len(),
-        }
+        .collect();
+    let mut r = Reducer {
+        db,
+        tree,
+        a_fk: tree
+            .edges
+            .iter()
+            .map(|e| a_is_fk_side(db, tree, e))
+            .collect(),
+        version: vec![0; n],
+        synced: vec![None; 2 * tree.edges.len()],
+        touched: 0,
     };
-    let seed = (0..n).min_by_key(|&i| given_card(i)).expect("non-empty");
+    let mut sets = candidates.per_node.clone();
+    if sets.iter().all(Option::is_none) {
+        // Nothing selective to expand from.
+        for (i, s) in sets.iter_mut().enumerate() {
+            let rows: Vec<RowId> = db.table(tree.nodes[i]).rows().map(|(r, _)| r).collect();
+            r.touched += rows.len();
+            *s = Some(rows);
+        }
+    }
+    while !sets.iter().flatten().any(Vec::is_empty) {
+        let Some((ei, u, v)) = r.cheapest_free_edge(&sets) else {
+            break;
+        };
+        let rows = r.materialize(sets[u].as_deref().expect("materialized"), ei, u, v);
+        sets[v] = Some(rows);
+    }
+    // The tree is connected (validated), so expansion reaches every node
+    // unless it stopped at an empty set.
+    let mut sets: Vec<Vec<RowId>> = sets.into_iter().map(Option::unwrap_or_default).collect();
+    if !sets.iter().any(Vec::is_empty) {
+        let (order, parent_edge) = bfs_order(tree, &given);
+        let steps = order.iter().skip(1).rev().map(|&v| (v, true));
+        let steps = steps.chain(order.iter().skip(1).map(|&v| (v, false)));
+        for (v, bottom_up) in steps {
+            let ei = parent_edge[v].expect("non-root");
+            let e = &tree.edges[ei];
+            let parent = if e.a == v { e.b } else { e.a };
+            let (target, source) = if bottom_up { (parent, v) } else { (v, parent) };
+            if r.filter(&mut sets, target, source, ei) {
+                break;
+            }
+        }
+    }
+    if sets.iter().any(Vec::is_empty) {
+        sets.iter_mut().for_each(Vec::clear);
+    }
+    let stats = ExecStats {
+        semijoin_rows_in: given.iter().sum(),
+        semijoin_rows_out: sets.iter().map(Vec::len).sum(),
+        reduce_rows_touched: r.touched,
+        ..ExecStats::default()
+    };
+    Ok(ReducedTree { sets, given, stats })
+}
+
+/// Working state of [`reduce_join_tree`].
+struct Reducer<'a> {
+    db: &'a Database,
+    tree: &'a JoinTree,
+    /// Per edge: whether endpoint `a` holds the referencing (fk) column.
+    a_fk: Vec<bool>,
+    /// Per node: how many times its set shrank.
+    version: Vec<usize>,
+    /// Per directed edge (`2 × edge + (target is b)`): the source version
+    /// the target was last made consistent with.
+    synced: Vec<Option<usize>>,
+    /// [`ExecStats::reduce_rows_touched`] so far.
+    touched: usize,
+}
+
+impl Reducer<'_> {
+    /// Whether node `x` holds the referencing column of edge `ei`.
+    fn fk_side(&self, ei: usize, x: usize) -> bool {
+        (self.tree.edges[ei].a == x) == self.a_fk[ei]
+    }
+
+    /// Index of the directed edge `ei` into `target`.
+    fn dir(&self, ei: usize, target: usize) -> usize {
+        2 * ei + usize::from(self.tree.edges[ei].b == target)
+    }
+
+    /// The sorted, distinct join keys of node `x`'s `rows` under edge `ei`.
+    fn keys(&mut self, rows: &[RowId], ei: usize, x: usize) -> Vec<i64> {
+        self.touched += rows.len();
+        let fk = self.db.schema().fk(self.tree.edges[ei].fk);
+        let x_fk = self.fk_side(ei, x);
+        let mut keys: Vec<i64> = rows
+            .iter()
+            .filter_map(|&r| join_key(self.db, self.tree.nodes[x], r, fk, x_fk))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// Among edges from a materialized node `u` to a free node `v`, the one
+    /// with the smallest estimated `|v|` (lowest edge index on ties), as
+    /// `(edge, u, v)`.
+    fn cheapest_free_edge(&self, sets: &[Option<Vec<RowId>>]) -> Option<(usize, usize, usize)> {
+        let table_len = |i: usize| self.db.table(self.tree.nodes[i]).len() as u128;
+        let mut best: Option<(u128, usize, usize, usize)> = None;
+        for (ei, e) in self.tree.edges.iter().enumerate() {
+            let (u, v, su) = match (&sets[e.a], &sets[e.b]) {
+                (Some(rows), None) => (e.a, e.b, rows.len() as u128),
+                (None, Some(rows)) => (e.b, e.a, rows.len() as u128),
+                _ => continue,
+            };
+            let est = if self.fk_side(ei, v) {
+                su * table_len(v) / table_len(u).max(1)
+            } else {
+                su
+            };
+            if best.is_none_or(|(b, ..)| est < b) {
+                best = Some((est, ei, u, v));
+            }
+        }
+        best.map(|(_, ei, u, v)| (ei, u, v))
+    }
+
+    /// Node `v`'s rows that join some row of `src` (node `u`'s set) along
+    /// edge `ei`, sorted and distinct, looked up through the pk / fk
+    /// indexes.
+    fn materialize(&mut self, src: &[RowId], ei: usize, u: usize, v: usize) -> Vec<RowId> {
+        let keys = self.keys(src, ei, u);
+        let fk = self.tree.edges[ei].fk;
+        let mut rows: Vec<RowId> = if self.fk_side(ei, v) {
+            keys.iter()
+                .flat_map(|&k| self.db.fk_referrers(fk, k))
+                .copied()
+                .collect()
+        } else {
+            let table = self.db.table(self.tree.nodes[v]);
+            keys.iter().filter_map(|&k| table.by_pk(k)).collect()
+        };
+        self.touched += rows.len();
+        rows.sort_unstable();
+        rows.dedup();
+        let d = self.dir(ei, v);
+        self.synced[d] = Some(self.version[u]);
+        rows
+    }
+
+    /// Semi-join `sets[target]` by `sets[source]` along edge `ei`, in
+    /// place and order-preserving. Returns whether the target is empty.
+    fn filter(&mut self, sets: &mut [Vec<RowId>], target: usize, source: usize, ei: usize) -> bool {
+        let d = self.dir(ei, target);
+        if self.synced[d] == Some(self.version[source]) {
+            return false;
+        }
+        let keys = self.keys(&sets[source], ei, source);
+        let fk = self.db.schema().fk(self.tree.edges[ei].fk);
+        let (table, t_fk) = (self.tree.nodes[target], self.fk_side(ei, target));
+        let rows = &mut sets[target];
+        let before = rows.len();
+        self.touched += before;
+        rows.retain(|&r| {
+            join_key(self.db, table, r, fk, t_fk).is_some_and(|k| keys.binary_search(&k).is_ok())
+        });
+        if rows.len() < before {
+            // The dropped rows had no partner in the source, so a source
+            // consistent with the target stays consistent.
+            let back = self.dir(ei, source);
+            let was_synced = self.synced[back] == Some(self.version[target]);
+            self.version[target] += 1;
+            if was_synced {
+                self.synced[back] = Some(self.version[target]);
+            }
+        }
+        self.synced[d] = Some(self.version[source]);
+        rows.is_empty()
+    }
+}
+
+/// BFS order of `tree` rooted at its most selective given node (first on
+/// ties), with the edge to its parent for every non-root node.
+fn bfs_order(tree: &JoinTree, given: &[usize]) -> (Vec<usize>, Vec<Option<usize>>) {
+    let n = tree.nodes.len();
+    let root = (0..n).min_by_key(|&i| given[i]).expect("non-empty");
     let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (edge idx, neighbor)
     for (ei, e) in tree.edges.iter().enumerate() {
         adj[e.a].push((ei, e.b));
         adj[e.b].push((ei, e.a));
     }
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut parent_edge: Vec<Option<usize>> = vec![None; n];
+    let mut order = Vec::with_capacity(n);
+    let mut parent_edge = vec![None; n];
     let mut seen = vec![false; n];
-    order.push(seed);
-    seen[seed] = true;
+    order.push(root);
+    seen[root] = true;
     let mut head = 0;
     while head < order.len() {
         let u = order[head];
@@ -438,121 +631,7 @@ pub fn reduce_join_tree(
             }
         }
     }
-    if order.len() != n {
-        return Err(RelError::MalformedJoinTree("disconnected tree".into()));
-    }
-
-    // Semi-join full reducer (Yannakakis): bottom-up — filter each parent by
-    // each child — then top-down — filter each child by its parent. After
-    // full reduction every surviving row participates in ≥ 1 complete JTT.
-    //
-    // A still-`None` (free, untouched) source makes the step approximate:
-    // the target is filtered by partner *existence* in the full free table
-    // (pure index lookups), and a `None` target materializes straight from
-    // its restricted source's keys — so no free table is ever scanned or
-    // hashed whole. Returns whether the step consulted a free source; any
-    // such step may leave dead rows, in which case a second, now-exact
-    // sweep over the (small) materialized sets finishes the reduction.
-    let filter_by =
-        |sets: &mut Vec<Option<Vec<RowId>>>, target: usize, source: usize, ei: usize| -> bool {
-            let edge = &tree.edges[ei];
-            let a_fk = a_is_fk_side(db, tree, edge);
-            let (t_fk, s_fk) = if edge.a == target {
-                (a_fk, !a_fk)
-            } else {
-                (!a_fk, a_fk)
-            };
-            let fk = db.schema().fk(edge.fk);
-            let s_table = tree.nodes[source];
-            let t_table = tree.nodes[target];
-            let source_keys: Option<Vec<i64>> = sets[source].as_ref().map(|src| {
-                let mut keys: Vec<i64> = src
-                    .iter()
-                    .filter_map(|&r| join_key(db, s_table, r, fk, s_fk))
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                keys
-            });
-            match source_keys {
-                None => {
-                    // Free source: keep target rows with any partner at all.
-                    let Some(rows) = sets[target].as_mut() else {
-                        return true; // both free — nothing known yet
-                    };
-                    if s_fk {
-                        rows.retain(|&r| {
-                            join_key(db, t_table, r, fk, t_fk)
-                                .is_some_and(|k| !db.fk_referrers(edge.fk, k).is_empty())
-                        });
-                    } else {
-                        rows.retain(|&r| {
-                            join_key(db, t_table, r, fk, t_fk)
-                                .is_some_and(|k| db.table(s_table).by_pk(k).is_some())
-                        });
-                    }
-                    true
-                }
-                Some(keys) => match sets[target].as_mut() {
-                    Some(rows) => {
-                        let keyset: HashSet<i64> = keys.into_iter().collect();
-                        rows.retain(|&r| {
-                            join_key(db, t_table, r, fk, t_fk).is_some_and(|k| keyset.contains(&k))
-                        });
-                        false
-                    }
-                    None => {
-                        // Materialize the free target from the source keys.
-                        let mut rows: Vec<RowId> = if t_fk {
-                            keys.iter()
-                                .flat_map(|&k| db.fk_referrers(edge.fk, k))
-                                .copied()
-                                .collect()
-                        } else {
-                            keys.iter()
-                                .filter_map(|&k| db.table(t_table).by_pk(k))
-                                .collect()
-                        };
-                        rows.sort_unstable();
-                        rows.dedup();
-                        sets[target] = Some(rows);
-                        false
-                    }
-                },
-            }
-        };
-    let sweep = |sets: &mut Vec<Option<Vec<RowId>>>| -> bool {
-        let mut approx = false;
-        for &v in order.iter().skip(1).rev() {
-            let ei = parent_edge[v].expect("non-root");
-            let e = &tree.edges[ei];
-            let parent = if e.a == v { e.b } else { e.a };
-            approx |= filter_by(sets, parent, v, ei);
-        }
-        for &v in order.iter().skip(1) {
-            let ei = parent_edge[v].expect("non-root");
-            let e = &tree.edges[ei];
-            let parent = if e.a == v { e.b } else { e.a };
-            approx |= filter_by(sets, v, parent, ei);
-        }
-        approx
-    };
-    if sweep(&mut sets) {
-        // Some step consulted a free table; every set is materialized now
-        // (the tree is connected and at least one node was restricted), so
-        // the second sweep is exact and completes the full reduction.
-        sweep(&mut sets);
-    }
-    stats.semijoin_rows_out = sets
-        .iter()
-        .map(|s| s.as_ref().expect("reduced sets are materialized").len())
-        .sum();
-    let given: Vec<usize> = (0..n).map(given_card).collect();
-    let sets: Vec<Vec<RowId>> = sets
-        .into_iter()
-        .map(|s| s.expect("reduced sets are materialized"))
-        .collect();
-    Ok(ReducedTree { sets, given, stats })
+    (order, parent_edge)
 }
 
 /// Replicate the hash-join executor's order choices from per-node *given*
@@ -1284,6 +1363,109 @@ mod tests {
             nv.stats.intermediate_bindings
         );
         assert!((0.0..=1.0).contains(&hj.stats.semijoin_reduction()));
+    }
+
+    /// actor(1) – acts – movie – genre – movie(N): a selective actor and a
+    /// keyword-matched movie list joined through a high-fan-out genre. The
+    /// free movie and acts tables are over 20x larger than the given sets.
+    #[test]
+    fn reduction_expands_from_the_selective_side() {
+        let mut b = SchemaBuilder::new();
+        b.table("actor", TableKind::Entity).pk("id");
+        b.table("genre", TableKind::Entity).pk("id");
+        b.table("movie", TableKind::Entity)
+            .pk("id")
+            .int_attr("genre_id");
+        b.table("acts", TableKind::Relation)
+            .pk("id")
+            .int_attr("actor_id")
+            .int_attr("movie_id");
+        b.foreign_key("movie", "genre_id", "genre").unwrap();
+        b.foreign_key("acts", "actor_id", "actor").unwrap();
+        b.foreign_key("acts", "movie_id", "movie").unwrap();
+        let mut db = Database::new(b.finish().unwrap());
+        let s = db.schema();
+        let [actor, genre, movie, acts] =
+            ["actor", "genre", "movie", "acts"].map(|t| s.table_id(t).unwrap());
+        let fk = |from, to| {
+            s.fks()
+                .find(|(_, f)| f.from.table == from && f.to.table == to)
+        };
+        let fk_genre = fk(movie, genre).unwrap().0;
+        let fk_actor = fk(acts, actor).unwrap().0;
+        let fk_movie = fk(acts, movie).unwrap().0;
+        for id in 0..200 {
+            db.insert(actor, vec![Value::Int(id)]).unwrap();
+        }
+        for id in 0..4 {
+            db.insert(genre, vec![Value::Int(id)]).unwrap();
+        }
+        for id in 0..400 {
+            db.insert(movie, vec![Value::Int(id), Value::Int(id % 4)])
+                .unwrap();
+        }
+        // Three cast members per movie.
+        for id in 0..1200 {
+            let (a, m) = (id % 200, id / 3);
+            db.insert(acts, vec![Value::Int(id), Value::Int(a), Value::Int(m)])
+                .unwrap();
+        }
+        db.validate().unwrap();
+        let tree = JoinTree {
+            nodes: vec![actor, acts, movie, genre, movie],
+            edges: vec![
+                JoinTreeEdge {
+                    a: 1,
+                    b: 0,
+                    fk: fk_actor,
+                },
+                JoinTreeEdge {
+                    a: 1,
+                    b: 2,
+                    fk: fk_movie,
+                },
+                JoinTreeEdge {
+                    a: 2,
+                    b: 3,
+                    fk: fk_genre,
+                },
+                JoinTreeEdge {
+                    a: 4,
+                    b: 3,
+                    fk: fk_genre,
+                },
+            ],
+        };
+        // One actor; ten matched movies spanning every genre.
+        let given_actor = vec![db.table(actor).by_pk(7).unwrap()];
+        let given_movies: Vec<RowId> = (100..110)
+            .map(|pk| db.table(movie).by_pk(pk).unwrap())
+            .collect();
+        let given_rows = given_actor.len() + given_movies.len();
+        assert!(db.table(movie).len() >= 20 * given_rows);
+        assert!(db.table(acts).len() >= 20 * given_rows);
+        let cands = Candidates::free(5)
+            .restrict(0, given_actor)
+            .restrict(4, given_movies);
+        let reduced = reduce_join_tree(&db, &tree, &cands).unwrap();
+        let stats = reduced.stats;
+        assert!(stats.semijoin_rows_out > 0);
+        assert!(
+            stats.reduce_rows_touched <= 8 * (given_rows + stats.semijoin_rows_out),
+            "reducer touched {} rows for {} given and {} kept",
+            stats.reduce_rows_touched,
+            given_rows,
+            stats.semijoin_rows_out
+        );
+        let big = |strategy| ExecOptions {
+            limit: usize::MAX,
+            strategy,
+            ..Default::default()
+        };
+        let hj = execute_join_tree(&db, &tree, &cands, big(ExecStrategy::HashJoin)).unwrap();
+        let nv = execute_join_tree(&db, &tree, &cands, big(ExecStrategy::Naive)).unwrap();
+        assert!(!hj.is_empty());
+        assert_eq!(sorted(hj), sorted(nv));
     }
 
     #[test]

@@ -13,8 +13,8 @@ use keybridge::core::{
 };
 use keybridge::index::InvertedIndex;
 use keybridge::relstore::{
-    execute_join_tree_with_stats, Candidates, Database, ExecOptions, ExecStrategy, JoinTree,
-    JoinTreeEdge, JoinedRow, RowId, SchemaBuilder, TableKind, Value,
+    execute_join_tree_with_stats, reduce_join_tree, Candidates, Database, ExecOptions,
+    ExecStrategy, JoinTree, JoinTreeEdge, JoinedRow, RowId, SchemaBuilder, TableKind, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,9 +23,8 @@ use rand::{Rng, SeedableRng};
 /// CI gate.
 const SEEDS: [u64; 4] = [11, 23, 47, 91];
 
-/// A random three-table movie-ish schema with skewed, ambiguous text —
-/// the same family `tests/properties.rs` uses for the generation oracle.
-fn random_db(rng: &mut StdRng) -> Database {
+/// The empty three-table movie-ish schema: actor <- acts -> movie.
+fn empty_db() -> Database {
     let mut b = SchemaBuilder::new();
     b.table("actor", TableKind::Entity)
         .pk("id")
@@ -39,7 +38,13 @@ fn random_db(rng: &mut StdRng) -> Database {
         .int_attr("movie_id");
     b.foreign_key("acts", "actor_id", "actor").unwrap();
     b.foreign_key("acts", "movie_id", "movie").unwrap();
-    let mut db = Database::new(b.finish().unwrap());
+    Database::new(b.finish().unwrap())
+}
+
+/// A random three-table movie-ish schema with skewed, ambiguous text —
+/// the same family `tests/properties.rs` uses for the generation oracle.
+fn random_db(rng: &mut StdRng) -> Database {
+    let mut db = empty_db();
     let actor = db.schema().table_id("actor").unwrap();
     let movie = db.schema().table_id("movie").unwrap();
     let acts = db.schema().table_id("acts").unwrap();
@@ -259,6 +264,140 @@ fn join_tree_execution_matches_naive_oracle() {
         total_hj_intermediates <= total_nv_intermediates,
         "hash join materialized more bindings overall: {total_hj_intermediates} vs {total_nv_intermediates}"
     );
+}
+
+/// Check `reduce_join_tree` on one case against the naive executor's
+/// unlimited result, plus the limited-prefix identity of the hash join.
+/// Returns whether the join has results.
+fn check_reduction(db: &Database, tree: &JoinTree, cands: &Candidates, note: &str) -> bool {
+    let unlimited = execute_join_tree_with_stats(db, tree, cands, opts(ExecStrategy::Naive))
+        .unwrap_or_else(|e| panic!("{note}: naive failed: {e}"))
+        .rows;
+    let reduced =
+        reduce_join_tree(db, tree, cands).unwrap_or_else(|e| panic!("{note}: reduce failed: {e}"));
+    for (i, set) in reduced.sets.iter().enumerate() {
+        // The sorted, distinct projection of node `i` over every JTT.
+        let mut projection: Vec<RowId> = unlimited.iter().map(|row| row[i]).collect();
+        projection.sort();
+        projection.dedup();
+        let expected = match &cands.per_node[i] {
+            None => projection,
+            Some(given) => given
+                .iter()
+                .copied()
+                .filter(|r| projection.binary_search(r).is_ok())
+                .collect(),
+        };
+        assert_eq!(set, &expected, "{note}: reduced set of node {i}");
+    }
+    if unlimited.is_empty() {
+        assert!(
+            reduced.sets.iter().all(Vec::is_empty),
+            "{note}: an empty join must leave every set empty"
+        );
+    }
+    assert_eq!(
+        reduced.stats.semijoin_rows_out,
+        reduced.sets.iter().map(Vec::len).sum::<usize>(),
+        "{note}: semijoin_rows_out"
+    );
+
+    // A limited run returns exactly the unlimited run's prefix, in order:
+    // the invariant result truncation and the result caches rely on.
+    let run = |limit| {
+        let o = ExecOptions {
+            limit,
+            ..opts(ExecStrategy::HashJoin)
+        };
+        execute_join_tree_with_stats(db, tree, cands, o)
+            .unwrap_or_else(|e| panic!("{note}: hash join failed: {e}"))
+            .rows
+    };
+    let all = run(usize::MAX);
+    for limit in 1..=3 {
+        assert_eq!(
+            run(limit),
+            all[..limit.min(all.len())],
+            "{note}: limit {limit} is not the unlimited prefix"
+        );
+    }
+    !unlimited.is_empty()
+}
+
+/// actor 0..6, movie 0..3, and four acts rows: the actor table is larger
+/// than both the acts and the movie table, and actors 4 and 5 act nowhere.
+fn small_acts_db() -> Database {
+    let mut db = empty_db();
+    let s = db.schema();
+    let (actor, movie, acts) = (
+        s.table_id("actor").unwrap(),
+        s.table_id("movie").unwrap(),
+        s.table_id("acts").unwrap(),
+    );
+    for i in 0..6 {
+        db.insert(actor, vec![Value::Int(i), Value::text(format!("a{i}"))])
+            .unwrap();
+    }
+    for i in 0..3 {
+        db.insert(movie, vec![Value::Int(i), Value::text(format!("m{i}"))])
+            .unwrap();
+    }
+    for (i, (a, m)) in [(0, 0), (1, 0), (2, 1), (0, 1)].into_iter().enumerate() {
+        db.insert(
+            acts,
+            vec![Value::Int(i as i64), Value::Int(a), Value::Int(m)],
+        )
+        .unwrap();
+    }
+    db
+}
+
+/// The semi-join reducer against the naive oracle: a free node's reduced
+/// set is the sorted, distinct projection of the full join onto it, a given
+/// node's is its candidate list filtered to that projection in order — on
+/// the random corpus and on targeted cases (a given set larger than a free
+/// table, an all-free tree, an unsorted given list with duplicates).
+#[test]
+fn reduced_sets_match_naive_projection() {
+    let mut nonempty = 0usize;
+    for &seed in &SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(6007));
+        for case in 0..20 {
+            let db = random_db(&mut rng);
+            for (ti, tree) in trees(&db).iter().enumerate() {
+                let cands = random_candidates(&mut rng, &db, tree);
+                let note = format!("seed {seed} case {case} tree {ti}");
+                nonempty += check_reduction(&db, tree, &cands, &note) as usize;
+            }
+        }
+    }
+    assert!(nonempty >= 30, "corpus too degenerate: {nonempty}");
+
+    let db = small_acts_db();
+    let actor = db.schema().table_id("actor").unwrap();
+    let row = |pk: u32| RowId(pk);
+    for (ti, tree) in trees(&db).iter().enumerate() {
+        let n = tree.nodes.len();
+        let actor_nodes: Vec<usize> = (0..n).filter(|&i| tree.nodes[i] == actor).collect();
+        let all_actors: Vec<RowId> = (0..6).map(row).collect();
+        let mut larger = Candidates::free(n);
+        let mut unsorted = Candidates::free(n);
+        for &i in &actor_nodes {
+            larger = larger.restrict(i, all_actors.clone());
+            unsorted = unsorted.restrict(i, [2, 5, 0, 2, 1].into_iter().map(row).collect());
+        }
+        if actor_nodes.is_empty() {
+            unsorted = unsorted.restrict(0, [2, 0, 2].into_iter().map(row).collect());
+        }
+        for (name, cands) in [
+            ("all free", Candidates::free(n)),
+            ("given larger than a free table", larger),
+            ("unsorted given with duplicates", unsorted),
+        ] {
+            let note = format!("targeted tree {ti}: {name}");
+            assert!(check_reduction(&db, tree, &cands, &note), "{note}: empty");
+        }
+    }
 }
 
 /// A random 1–4 keyword query over the vocabulary.
