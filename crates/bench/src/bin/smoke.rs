@@ -668,8 +668,9 @@ fn main() {
             run.rows, mixed_inserts, mixed_queries
         );
         println!(
-            "  ingest     : {:8.0} rows/s ({} epoch swaps, {} stale cache entries retired)",
-            run.rows_per_s, run.epoch_swaps, run.stale_evictions
+            "  ingest     : {:8.0} rows/s ({} epoch swaps, {} stale cache entries retired, \
+             {} snapshot copies)",
+            run.rows_per_s, run.epoch_swaps, run.stale_evictions, run.snapshot_copies
         );
         println!(
             "  post-update: {:8.1} qps over the {}-query log (cold epoch-{} caches)",

@@ -567,6 +567,10 @@ pub struct IngestRun {
     /// here: the replay is sequential on a single worker, so each swap
     /// displaces exactly the generation the preceding queries warmed.
     pub stale_evictions: usize,
+    /// Full store + index copies the ingests made. Deterministic here: the
+    /// sequential replay leaves no displaced epoch pinned, so only the
+    /// first ingest forks a copy (informational, not a gated counter).
+    pub snapshot_copies: usize,
     /// Ingested rows per second of ingest-call wall-clock (batch validation
     /// + pk/fk index maintenance + posting splices + snapshot publish).
     pub rows_per_s: f64,
@@ -628,6 +632,7 @@ pub fn replay_ingest(
         batches,
         epoch_swaps: stats.epoch_swaps,
         stale_evictions: stats.stale_evictions,
+        snapshot_copies: stats.snapshot_copies,
         rows_per_s: rows as f64 / ingest_secs.max(1e-12),
         post_qps: queries.len() as f64 / post_secs.max(1e-12),
     }

@@ -29,9 +29,18 @@
 //! applies a validated [`RowBatch`] to a private writer copy of the store
 //! (primary-key / foreign-key indexes maintained, referential integrity
 //! enforced), splices the new rows into the writer's inverted index
-//! incrementally, and then **publishes** the result as a fresh
-//! [`SearchSnapshot`] under the next [`SnapshotEpoch`] — rebuild-and-swap
-//! behind a `Mutex<Arc<..>>`, the std-only `ArcSwap` idiom.
+//! incrementally, and then **publishes** the result by moving that copy
+//! into a fresh [`SearchSnapshot`] under the next [`SnapshotEpoch`],
+//! swapped in behind a `Mutex<Arc<..>>` (the std-only `ArcSwap` idiom).
+//!
+//! Publishing copies nothing: the store is double-buffered. Right after
+//! the swap the writer reclaims the displaced epoch with `Arc::try_unwrap`
+//! and replays the same batch on it, making it the next writer copy at
+//! O(batch) cost. Only when something still pins the displaced epoch (an
+//! in-flight request, a construction session, a [`SearchService::snapshot`]
+//! holder) does the writer let it go, and the next ingest forks a full copy
+//! of the served snapshot instead ([`ServiceStats::snapshot_copies`]
+//! counts those forks).
 //!
 //! Every epoch carries its *own generation* of the two shared caches,
 //! bundled with the snapshot in one [`ServingState`] `Arc` that workers
@@ -194,12 +203,34 @@ impl ServingState {
 }
 
 /// The writer's private copy of the store: the mutable primary the ingest
-/// path applies batches to, plus its incrementally maintained index.
-/// Created lazily on the first ingest (a read-only service never pays for
-/// the copy) and retained so successive ingests only clone to *publish*.
+/// path applies a batch to before *moving* it into the published snapshot.
+/// Double-buffered: after the swap the writer reclaims the displaced
+/// epoch's store (when nothing pins it any more), replays the batch on it,
+/// and keeps that as the next copy. Only the first ingest, and one after a
+/// displaced epoch was still pinned, pay for a full clone of the served
+/// store; a read-only service never does.
 struct WriterState {
     db: Database,
     index: InvertedIndex,
+}
+
+/// Insert `batch` into `db` and splice its rows into `index` — the one
+/// apply step of ingest, of the reclaimed copy's replay, and of WAL
+/// recovery. Atomic like [`Database::insert_batch`]: a rejected batch
+/// changes neither structure.
+fn apply_batch(
+    db: &mut Database,
+    index: &mut InvertedIndex,
+    batch: &RowBatch,
+) -> Result<Vec<RowId>, BatchError> {
+    let ids = db.insert_batch(batch)?;
+    let inserted: Vec<(TableId, RowId)> = batch
+        .iter()
+        .map(|(table, _)| *table)
+        .zip(ids.iter().copied())
+        .collect();
+    index.index_batch(db, &inserted);
+    Ok(ids)
 }
 
 /// Why an [`SearchService::ingest`] was refused.
@@ -493,6 +524,13 @@ pub struct ServiceStats {
     pub stale_evictions: usize,
     /// Rows accepted by `ingest` since the service started.
     pub rows_ingested: usize,
+    /// Full store + index copies `ingest` made: the first ingest's fork,
+    /// plus one for every ingest that followed a displaced epoch still
+    /// pinned (by an in-flight request, a session, or a
+    /// [`SearchService::snapshot`] holder) when it was swapped out. Every
+    /// other ingest recycles the displaced epoch's store. Always 0 on a
+    /// sharded service, whose ingest copies only the touched shards.
+    pub snapshot_copies: usize,
     /// Distinct non-emptiness verdicts in the shared cache.
     pub nonempty_entries: usize,
     /// Cross-query non-emptiness hits.
@@ -749,8 +787,10 @@ pub(crate) fn submit_pinned<S: Send + Sync + 'static>(
         };
         let out = serve(&state);
         let completed_at = Instant::now();
-        // Count before replying so a client that just got its answer never
-        // observes a stale total.
+        // Release the pin and count before replying, so a client that just
+        // got its answer never observes a stale total and never races this
+        // worker for its epoch (the next ingest can reclaim it).
+        drop(state);
         served.fetch_add(1, Ordering::Relaxed);
         let _ = reply.send((out, completed_at)); // client may have given up
     }));
@@ -808,7 +848,8 @@ fn timed_diversified(reply: Reply, at: Instant) -> Option<TimedReply<Diversified
 /// and joins the workers.
 pub struct SearchService {
     current: Arc<Mutex<Arc<ServingState>>>,
-    /// Serializes ingests; lazily holds the writer's mutable copy.
+    /// Serializes ingests; holds the writer's next mutable copy when the
+    /// last ingest could reclaim one (`None` before the first ingest).
     writer: Mutex<Option<WriterState>>,
     /// WAL + checkpoint state for durable services; `None` under `start`.
     durability: Option<Durability>,
@@ -817,6 +858,7 @@ pub struct SearchService {
     epoch_swaps: AtomicUsize,
     stale_evictions: AtomicUsize,
     rows_ingested: AtomicUsize,
+    snapshot_copies: AtomicUsize,
     /// Open construction sessions, each pinning the serving state of the
     /// epoch it was opened on. Sessions are independently locked so a slow
     /// window refresh never blocks another session (or the registry).
@@ -929,15 +971,9 @@ impl SearchService {
             }
             // A logged batch was validated before it was appended, so a
             // rejection here means the snapshot and log disagree.
-            let ids = db.insert_batch(batch).map_err(|e| {
+            apply_batch(&mut db, &mut index, batch).map_err(|e| {
                 DurabilityError::Corrupt(format!("WAL batch for epoch {seq} rejected: {e}"))
             })?;
-            let inserted: Vec<(TableId, RowId)> = batch
-                .iter()
-                .map(|(table, _)| *table)
-                .zip(ids.iter().copied())
-                .collect();
-            index.index_batch(&db, &inserted);
             epoch = *seq;
             replayed += 1;
         }
@@ -975,6 +1011,7 @@ impl SearchService {
             epoch_swaps: AtomicUsize::new(0),
             stale_evictions: AtomicUsize::new(0),
             rows_ingested: AtomicUsize::new(0),
+            snapshot_copies: AtomicUsize::new(0),
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
             sessions_evicted: AtomicUsize::new(0),
@@ -986,6 +1023,10 @@ impl SearchService {
 
     /// The snapshot currently being served (requests already in flight may
     /// still be completing against an earlier epoch).
+    ///
+    /// Holding the returned `Arc` across an [`Self::ingest`] pins the
+    /// displaced epoch, so the writer cannot recycle its store: the ingest
+    /// after that one pays a full store + index copy. Drop it promptly.
     pub fn snapshot(&self) -> Arc<SearchSnapshot> {
         Arc::clone(&self.current.lock().unwrap().snapshot)
     }
@@ -1005,7 +1046,10 @@ impl SearchService {
     /// primary keys, referential integrity — intra-batch parents allowed)
     /// against the writer's copy; a rejected batch changes nothing, neither
     /// store nor epoch. Concurrent ingests serialize on the writer lock;
-    /// readers are never blocked beyond the single pointer swap.
+    /// readers are never blocked beyond the single pointer swap. The cost
+    /// is O(batch) unless the previous ingest's displaced epoch was still
+    /// pinned, in which case this one first copies the served store (see
+    /// [`ServiceStats::snapshot_copies`]).
     ///
     /// On a durable service the validated batch is appended to the
     /// write-ahead log and fsynced **before** the epoch swap — an epoch a
@@ -1020,37 +1064,34 @@ impl SearchService {
                 return Err(IngestError::Poisoned);
             }
         }
-        // Each pinned epoch is about to cost a full displaced database
-        // copy; shed sessions nobody is coming back for first.
+        // Each pinned epoch makes the next ingest copy the store instead of
+        // reclaiming the displaced one; shed sessions nobody is coming back
+        // for first.
         self.expire_idle_sessions();
         let mut writer = self.writer.lock().unwrap();
-        if writer.is_none() {
-            // First ingest: fork the writer's mutable copy off the served
-            // snapshot. From here on the writer copy is the primary.
-            let state = self.current.lock().unwrap().clone();
-            *writer = Some(WriterState {
-                db: state.snapshot.db.clone(),
-                index: state.snapshot.index.clone(),
-            });
-        }
-        let w = writer.as_mut().expect("initialized above");
-        let ids = w.db.insert_batch(batch)?;
-        let inserted: Vec<(TableId, RowId)> = batch
-            .iter()
-            .map(|(table, _)| *table)
-            .zip(ids.iter().copied())
-            .collect();
-        w.index.index_batch(&w.db, &inserted);
-
-        // Publish: clone the writer copy into an immutable snapshot under
-        // the next epoch with a fresh shared-cache generation. The catalog
-        // is schema-derived and the schema is immutable, so it transfers.
-        // The O(database) clones happen *outside* the `current` lock —
-        // workers pin their state through that lock per request, so it may
-        // only be held for pointer reads and the final swap. `prev` cannot
-        // go stale in between: the held writer lock serializes every path
-        // that replaces `current`.
+        // `prev` cannot go stale while the writer lock is held: it
+        // serializes every path that replaces `current`.
         let prev = Arc::clone(&self.current.lock().unwrap());
+        let mut w = match writer.take() {
+            Some(w) => w,
+            None => {
+                // No reclaimed copy in hand (first ingest, or the displaced
+                // epoch was still pinned): fork one off the served snapshot.
+                self.snapshot_copies.fetch_add(1, Ordering::Relaxed);
+                WriterState {
+                    db: prev.snapshot.db.clone(),
+                    index: prev.snapshot.index.clone(),
+                }
+            }
+        };
+        let ids = match apply_batch(&mut w.db, &mut w.index, batch) {
+            Ok(ids) => ids,
+            Err(e) => {
+                // `insert_batch` is atomic: the copy is unchanged, keep it.
+                *writer = Some(w);
+                return Err(e.into());
+            }
+        };
         if let Some(d) = &self.durability {
             // WAL before swap: the record producing the next epoch must be
             // durable before any client can observe that epoch.
@@ -1059,19 +1100,25 @@ impl SearchService {
                 // (known-)durable state; drop it and poison. Recovery is a
                 // fresh `open`, which replays whatever the log retained.
                 d.poison();
-                *writer = None;
                 return Err(IngestError::Durability(e));
             }
         }
+
+        // Publish: *move* the writer copy into an immutable snapshot under
+        // the next epoch with a fresh shared-cache generation. The catalog
+        // is schema-derived and the schema is immutable, so it transfers.
         let next = ServingState::fresh(
             SnapshotEpoch(prev.epoch.0 + 1),
             Arc::new(SearchSnapshot::new(
-                w.db.clone(),
-                w.index.clone(),
+                w.db,
+                w.index,
                 prev.snapshot.catalog.clone(),
                 prev.snapshot.config.clone(),
             )),
         );
+        // Our own handle on the epoch about to be displaced would make the
+        // reclaim below fail.
+        drop(prev);
         let displaced = {
             let mut current = self.current.lock().unwrap();
             std::mem::replace(&mut *current, Arc::clone(&next))
@@ -1080,13 +1127,34 @@ impl SearchService {
         self.stale_evictions
             .fetch_add(displaced.cache_entries(), Ordering::Relaxed);
         self.rows_ingested.fetch_add(ids.len(), Ordering::Relaxed);
+
+        // Recycle: when nothing else pins the displaced epoch (no in-flight
+        // request, session, or `snapshot()` holder), its store is exactly
+        // one batch behind; replaying the batch makes it the next writer
+        // copy at O(batch) cost. Otherwise drop our handle — the displaced
+        // epoch must not outlive its last reader — and let the next ingest
+        // fork a fresh copy.
+        *writer = Arc::try_unwrap(displaced)
+            .ok()
+            .and_then(|state| Arc::try_unwrap(state.snapshot).ok())
+            .and_then(|snap| {
+                let (mut db, mut index) = (snap.db, snap.index);
+                let replayed = apply_batch(&mut db, &mut index, batch);
+                let same = replayed.as_ref().is_ok_and(|again| *again == ids);
+                debug_assert!(same, "batch replay on the reclaimed copy diverged");
+                same.then_some(WriterState { db, index })
+            });
+
         if let Some(d) = &self.durability {
             let since = d.batches_since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
             if d.checkpoint_every > 0 && since >= d.checkpoint_every {
-                // Auto-checkpoint under the still-held writer lock. The
-                // batch is already WAL-durable, so a checkpoint failure
-                // poisons future writes but does not un-accept it.
-                if d.checkpoint(next.epoch.0, &w.db, &w.index).is_err() {
+                // Auto-checkpoint of the published snapshot under the
+                // still-held writer lock. The batch is already WAL-durable,
+                // so a checkpoint failure poisons future writes but does
+                // not un-accept it.
+                if d.checkpoint(next.epoch.0, &next.snapshot.db, &next.snapshot.index)
+                    .is_err()
+                {
                     d.poison();
                 }
             }
@@ -1261,8 +1329,8 @@ impl SearchService {
     /// open/view/advance/answers call) longer than `ttl` is dropped by the
     /// next sweep, releasing the epoch it pins — snapshot and cache
     /// generation. Sweeps run inside [`Self::open_session`] and
-    /// [`Self::ingest`] (the moment pinned epochs start costing a full
-    /// database copy each), or explicitly via
+    /// [`Self::ingest`] (where a pinned displaced epoch costs the writer a
+    /// full store copy), or explicitly via
     /// [`Self::expire_idle_sessions`]. `None` (the default) disables expiry.
     pub fn set_session_ttl(&self, ttl: Option<Duration>) {
         *self.session_ttl.lock().unwrap() = ttl;
@@ -1342,6 +1410,7 @@ impl SearchService {
             epoch_swaps: self.epoch_swaps.load(Ordering::Relaxed),
             stale_evictions: self.stale_evictions.load(Ordering::Relaxed),
             rows_ingested: self.rows_ingested.load(Ordering::Relaxed),
+            snapshot_copies: self.snapshot_copies.load(Ordering::Relaxed),
             nonempty_entries: state.nonempty.len(),
             nonempty_hits: state.nonempty.hits(),
             predicate_entries: state.exec.predicate_count(),
@@ -2436,5 +2505,119 @@ mod tests {
             assert!(snap_now.db.table(actor).by_pk(base_pk + i).is_some());
         }
         snap_now.db.validate().unwrap();
+    }
+
+    /// A one-row actor batch.
+    fn actor_row(actor: TableId, pk: i64, name: String) -> RowBatch {
+        vec![(actor, vec![Value::Int(pk), Value::text(name)])]
+    }
+
+    #[test]
+    fn sequential_ingests_recycle_the_displaced_store() {
+        let snap = snapshot();
+        let actor = snap.db.schema().table_id("actor").unwrap();
+        let acts = snap.db.schema().table_id("acts").unwrap();
+        let rows0 = snap.db.table(actor).len();
+        let base_pk = rows0 as i64 + 3000;
+        let service = SearchService::start(snap, 1);
+        let q = KeywordQuery::from_terms(vec!["tom".into()]);
+        for i in 0..8 {
+            // The reply arrives only after the worker released its pin, so
+            // the displaced epoch is always reclaimable here.
+            assert_eq!(service.search_versioned(&q, 5).epoch, SnapshotEpoch(i));
+            service
+                .ingest(&actor_row(
+                    actor,
+                    base_pk + i as i64,
+                    format!("tom recycled{i}"),
+                ))
+                .unwrap();
+        }
+        // A rejected batch leaves the writer's copy in hand.
+        let orphan: RowBatch = vec![(
+            acts,
+            vec![
+                Value::Int(999_999),
+                Value::Int(777_777),
+                Value::Int(888_888),
+                Value::text("ghost role"),
+            ],
+        )];
+        assert!(service.ingest(&orphan).is_err());
+        service
+            .ingest(&actor_row(actor, base_pk + 8, "tom last".into()))
+            .unwrap();
+        let stats = service.stats();
+        assert_eq!(stats.epoch_swaps, 9);
+        assert_eq!(stats.snapshot_copies, 1, "only the first ingest forks");
+        let served = service.snapshot();
+        assert_eq!(served.db.table(actor).len(), rows0 + 9);
+        served.db.validate().unwrap();
+    }
+
+    #[test]
+    fn pinned_session_forces_one_copy_and_keeps_its_epoch() {
+        let snap = snapshot();
+        let actor = snap.db.schema().table_id("actor").unwrap();
+        let base_pk = snap.db.table(actor).len() as i64 + 4000;
+        let service = SearchService::start(snap, 1);
+        let q = KeywordQuery::from_terms(vec!["tom".into()]);
+        let ingest = |i: i64| {
+            service
+                .ingest(&actor_row(actor, base_pk + i, format!("tom pinned{i}")))
+                .unwrap()
+        };
+        ingest(0);
+        assert_eq!(service.stats().snapshot_copies, 1);
+
+        // The session pins epoch 1, which the next ingest displaces: the
+        // writer cannot reclaim it, so the ingest after that forks a copy.
+        let view = service.open_session(&q, 8, SessionConfig::default());
+        assert_eq!(view.epoch, SnapshotEpoch(1));
+        let before = service.session_answers(view.id, 3).expect("open");
+        ingest(1);
+        assert_eq!(service.stats().snapshot_copies, 1);
+        ingest(2);
+        assert_eq!(service.stats().snapshot_copies, 2);
+        ingest(3);
+        ingest(4);
+        assert_eq!(service.stats().snapshot_copies, 2, "exactly one copy");
+
+        // The session still answers, identically, from its pinned epoch.
+        let after = service.session_answers(view.id, 3).expect("still open");
+        assert_eq!(after.epoch, SnapshotEpoch(1));
+        assert_eq!(after.answers.len(), before.answers.len());
+        for ((i1, r1), (i2, r2)) in before.answers.iter().zip(&after.answers) {
+            assert_eq!(i1, i2);
+            assert_eq!(r1.jtts, r2.jtts);
+            assert_eq!(r1.keys, r2.keys);
+        }
+    }
+
+    #[test]
+    fn held_snapshot_forces_one_copy() {
+        let snap = snapshot();
+        let actor = snap.db.schema().table_id("actor").unwrap();
+        let rows0 = snap.db.table(actor).len();
+        let base_pk = rows0 as i64 + 6000;
+        let service = SearchService::start(snap, 1);
+        let ingest = |i: i64| {
+            service
+                .ingest(&actor_row(actor, base_pk + i, format!("held{i}")))
+                .unwrap()
+        };
+        ingest(0);
+        let held = service.snapshot();
+        ingest(1);
+        ingest(2);
+        ingest(3);
+        assert_eq!(service.stats().snapshot_copies, 2, "exactly one copy");
+        // The held epoch is untouched by the ingests after it.
+        assert_eq!(held.db.table(actor).len(), rows0 + 1);
+        drop(held);
+        ingest(4);
+        ingest(5);
+        assert_eq!(service.stats().snapshot_copies, 2);
+        assert_eq!(service.snapshot().db.table(actor).len(), rows0 + 6);
     }
 }

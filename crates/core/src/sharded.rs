@@ -527,6 +527,7 @@ impl ServeRequests for ShardedService {
             epoch_swaps: self.epoch_swaps.load(Ordering::Relaxed),
             stale_evictions: self.stale_evictions.load(Ordering::Relaxed),
             rows_ingested: self.rows_ingested.load(Ordering::Relaxed),
+            snapshot_copies: 0,
             nonempty_entries: set.nonempty.len(),
             nonempty_hits: set.nonempty.hits(),
             predicate_entries,
